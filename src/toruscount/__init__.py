@@ -7,7 +7,6 @@ from .intlinalg import (
     SNFDecomposition,
     finite_cokernel_order,
     induced_endomorphism,
-    lattice_quotient,
     smith_normal_form,
     torsion_elements,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "TorusSpec",
     "finite_cokernel_order",
     "induced_endomorphism",
-    "lattice_quotient",
     "load_spec",
     "smith_normal_form",
     "torsion_elements",

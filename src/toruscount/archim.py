@@ -11,18 +11,30 @@ entry nonzero or some b different from b'.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import SchemaError
 from .intlinalg import IntMatrix
-from .matroid import LinearMatroid, b_infinity
+from .matroid import LinearMatroid, _best_ratio, b_infinity
+
+SIZE_FIELDS = ("n1", "n2", "n3", "m1", "m2", "m3")
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_rows(data):
+    return isinstance(data, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in data)
 
 
 def _as_int_matrix(name, data, rows, cols):
+    if not _is_rows(data) or not all(_is_int(x) for r in data for x in r):
+        raise SchemaError(f"archimedean.{name}: expected a list of rows of integers")
     if len(data) != rows or any(len(r) != cols for r in data):
         raise ValueError(f"dimension mismatch: {name} must be {rows}x{cols}")
-    return IntMatrix.from_rows([[int(x) for x in r] for r in data], cols=cols)
+    return IntMatrix.from_rows(data, cols=cols)
 
 
 @dataclass(frozen=True)
@@ -45,11 +57,14 @@ class ArchBlocks:
 
     @staticmethod
     def from_dict(doc):
-        try:
-            n1, n2, n3 = (int(doc[k]) for k in ("n1", "n2", "n3"))
-            m1, m2, m3 = (int(doc[k]) for k in ("m1", "m2", "m3"))
-        except KeyError as missing:
-            raise ValueError(f"dimension mismatch: missing size field {missing}") from None
+        if not isinstance(doc, dict):
+            raise SchemaError("archimedean: expected an object")
+        for key in SIZE_FIELDS:
+            if key not in doc:
+                raise ValueError(f"dimension mismatch: missing size field '{key}'")
+            if not _is_int(doc[key]):
+                raise SchemaError(f"archimedean.{key}: expected an integer")
+        n1, n2, n3, m1, m2, m3 = (doc[key] for key in SIZE_FIELDS)
         a1 = _as_int_matrix("A1", doc.get("A1", []), m1, n1)
         a2 = _as_int_matrix("A2", doc.get("A2", []), m2, n1)
         a3 = _as_int_matrix("A3", doc.get("A3", []), m3, n1)
@@ -57,11 +72,13 @@ class ArchBlocks:
         b1 = _as_int_matrix("B1", doc.get("B1", []), m1, n3)
         b2 = _as_int_matrix("B2", doc.get("B2", []), m2, n3)
         raw_b3 = doc.get("B3", [])
+        if not _is_rows(raw_b3) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 and all(_is_int(x) for x in p)
+                for row in raw_b3 for p in row):
+            raise SchemaError("archimedean.B3: expected a list of rows of integer pairs")
         if len(raw_b3) != m3 or any(len(r) != n3 for r in raw_b3):
             raise ValueError(f"dimension mismatch: B3 must be {m3}x{n3} pairs")
-        b3 = tuple(
-            tuple((int(p[0]), int(p[1])) for p in row) for row in raw_b3
-        )
+        b3 = tuple(tuple((p[0], p[1]) for p in row) for row in raw_b3)
         blocks = ArchBlocks(n1, n2, n3, m1, m2, m3, a1, a2, a3, c, b1, b2, b3)
         blocks.validate()
         return blocks
@@ -137,21 +154,9 @@ def assemble(blocks: ArchBlocks) -> ArchMatrices:
                         m1=blocks.m1, m2=blocks.m2, m3=blocks.m3)
 
 
-def _best_ratio(matrix, weight):
-    """Max over nonempty row subsets of rank drop divided by total weight."""
-    matroid = LinearMatroid(matrix.entries)
-    if matroid.size == 0:
-        return Fraction(0)
-    universe = tuple(range(matroid.size))
-    total = matroid.rank(universe)
-    best = Fraction(0)
-    for size in range(1, matroid.size + 1):
-        for subset in itertools.combinations(universe, size):
-            rest = tuple(i for i in universe if i not in subset)
-            beta = total - matroid.rank(rest)
-            denom = sum(weight(i) for i in subset)
-            best = max(best, Fraction(beta, denom))
-    return best
+def _weighted_ratio(matroid, weights):
+    """Best rank drop over total weight; 0 for a matrix without rows."""
+    return _best_ratio(matroid, weights)[0] if matroid.size else Fraction(0)
 
 
 def arch_abscissa(mats: ArchMatrices) -> Fraction:
@@ -164,8 +169,9 @@ def arch_abscissa(mats: ArchMatrices) -> Fraction:
     if mats.M_re.rows and not re_matroid.full_rank():
         raise ValueError("M_re rank deficient")
     split = mats.m1 + mats.m2
-    best_re = _best_ratio(mats.M_re, lambda i: 1 if i < split else 2)
-    best_int = _best_ratio(mats.M_int, lambda i: 1)
+    best_re = _weighted_ratio(
+        re_matroid, [1 if i < split else 2 for i in range(re_matroid.size)])
+    best_int = _weighted_ratio(LinearMatroid(mats.M_int.entries), [1] * mats.M_int.rows)
     return max(best_re, best_int / 2)
 
 

@@ -65,9 +65,10 @@ def _gtilde_from_document(analysis, document):
         if not isinstance(gen, dict) or "g" not in gen or "unit" not in gen:
             raise SchemaError(f"gtilde.generators[{idx}]: expected {{'g': word, 'unit': int}}")
         word = gen["g"]
-        if not isinstance(word, list) or not all(isinstance(w, int) for w in word):
+        if not isinstance(word, list) or not all(
+                isinstance(w, int) and not isinstance(w, bool) for w in word):
             raise SchemaError(f"gtilde.generators[{idx}].g: expected a list of generator indices")
-        if not isinstance(gen["unit"], int):
+        if not isinstance(gen["unit"], int) or isinstance(gen["unit"], bool):
             raise SchemaError(f"gtilde.generators[{idx}].unit: expected an integer")
         override.append((analysis.spec.word_to_index(word), gen["unit"]))
     return build_gtilde(analysis, override=override)
@@ -154,6 +155,8 @@ def cmd_analyze(args, out):
 
 
 def cmd_local(args, out):
+    if args.cap < 0:
+        raise SpecValidationError(f"--cap: must be >= 0, got {args.cap}")
     document = _load_document(args.input)
     analysis = load_spec(document, distinct_cap=args.distinct_cap)
     calc = LocalCalculator(analysis)

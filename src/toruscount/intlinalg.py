@@ -1,18 +1,20 @@
-"""Exact integer matrix algebra: Smith normal form, lattice quotients, finite
-abelian groups, induced maps.
+"""Exact integer matrix algebra: one fraction-free elimination kernel, Smith
+normal form, lattice quotients, finite abelian groups, induced maps.
 
 Everything here works over Z with Python's arbitrary-precision integers; no
-floating point is used anywhere.  Vectors are tuples of ints treated as column
-vectors, so a matrix ``a`` acts on a vector ``v`` by ``a.apply(v)``.  A lattice
-L inside Z^n is presented by a relations matrix whose *rows* are generators of
-L.
+floating point and no rational arithmetic is used anywhere.  Rank and
+determinant come from a single routine, ``bareiss`` (fraction-free elimination,
+Bareiss, Math. Comp. 22, 1968).  Inverses come from the Smith normal form,
+which records U^-1 next to U, so a unimodular m has inverse V @ U.  Vectors are
+tuples of ints treated as column vectors, so a matrix ``a`` acts on a vector
+``v`` by ``a.apply(v)``.  A lattice L inside Z^n is presented by a relations
+matrix whose *rows* are generators of L.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import EnumerationCapError, LatticeNotPreservedError
 
@@ -88,89 +90,55 @@ class IntMatrix:
         """Determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        rank, pivot = bareiss(self.entries, self.cols)
+        return pivot if rank == self.rows else 0
 
     def is_unimodular(self):
         return self.rows == self.cols and self.det() in (1, -1)
 
 
-def rank_via_elimination(m: IntMatrix) -> int:
-    """Rank over Q by fraction-free Gaussian elimination (independent of SNF)."""
-    a = [list(row) for row in m.entries]
-    rank = 0
-    col = 0
-    while rank < m.rows and col < m.cols:
-        piv = next((i for i in range(rank, m.rows) if a[i][col] != 0), None)
+def bareiss(rows, ncols):
+    """(rank, signed last pivot) of an integer matrix, by fraction-free elimination.
+
+    Rows are swapped to find a pivot, columns without one are skipped, and each
+    step divides exactly by the previous pivot.  For a nonsingular square
+    matrix the signed last pivot is the determinant.
+    """
+    a = list(rows)
+    rank, prev, sign = 0, 1, 1
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
         if piv is None:
-            col += 1
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        for i in range(rank + 1, m.rows):
-            if a[i][col] != 0:
-                f = a[rank][col]
-                g = a[i][col]
-                for j in range(col, m.cols):
-                    a[i][j] = a[i][j] * f - a[rank][j] * g
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        top = a[rank]
+        pc = top[col]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col]
+            a[i] = [(x * pc - f * y) // prev for x, y in zip(a[i], top)]
+        prev = pc
         rank += 1
-        col += 1
-    return rank
+    return rank, sign * prev
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    n = m.rows
-    if n != m.cols:
+    """Exact inverse of a unimodular integer matrix: V @ U, since U @ m @ V = I."""
+    if m.rows != m.cols:
         raise ValueError("not square")
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m.entries)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = a[i][n + j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(x))
-        out.append(row)
-    return IntMatrix.from_rows(out, cols=n)
+    snf = smith_normal_form(m)
+    if any(d != 1 for d in snf.diagonal):
+        raise ValueError("matrix is not unimodular")
+    return snf.V @ snf.U
 
 
 @dataclass(frozen=True)
 class SNFDecomposition:
-    """U @ source @ V = D with U, V unimodular and D diagonal, d_i | d_{i+1}."""
+    """U @ source @ V = D with U, V unimodular, U_inv = U^-1, D diagonal, d_i | d_{i+1}."""
 
     U: IntMatrix
+    U_inv: IntMatrix
     D: IntMatrix
     V: IntMatrix
     source: IntMatrix
@@ -192,17 +160,21 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
     """Smith normal form by elementary row/column operations.
 
     Pivots are chosen by minimal absolute value, which keeps intermediate
-    entries small at the scales this package works at.  Empty matrices are
+    entries small at the scales this package works at.  Each row operation on
+    U is mirrored by its inverse column operation on U^-1.  Empty matrices are
     legal and produce identity transforms.
     """
     nr, nc = m.rows, m.cols
     a = [list(row) for row in m.entries]
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    uinv = [[int(i == j) for j in range(nr)] for i in range(nr)]
     v = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        for row in uinv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -214,6 +186,8 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
         # row_dst += q * row_src
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
         u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+        for row in uinv:
+            row[src] -= q * row[dst]
 
     def add_col(src, dst, q):
         for row in a:
@@ -224,6 +198,8 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        for row in uinv:
+            row[i] = -row[i]
 
     t = 0
     while t < min(nr, nc):
@@ -283,6 +259,7 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
 
     return SNFDecomposition(
         U=IntMatrix.from_rows(u, cols=nr),
+        U_inv=IntMatrix.from_rows(uinv, cols=nr),
         D=IntMatrix.from_rows(a, cols=nc) if nr else IntMatrix.zeros(0, nc),
         V=IntMatrix.from_rows(v, cols=nc),
         source=m,
@@ -346,7 +323,7 @@ class LatticeQuotient:
         self.relation_rows = relation_rows
         snf = smith_normal_form(relation_rows.transpose())
         self._u = snf.U
-        self._uinv = unimodular_inverse(snf.U)
+        self._uinv = snf.U_inv
         diag = list(snf.diagonal) + [0] * (ambient_rank - len(snf.diagonal))
         self._diag = tuple(diag)
         self.torsion_positions = tuple(i for i, d in enumerate(diag) if d >= 2)
@@ -386,10 +363,6 @@ class LatticeQuotient:
             elif w[i] % d != 0:
                 return False
         return True
-
-
-def lattice_quotient(ambient_rank: int, relations: IntMatrix) -> LatticeQuotient:
-    return LatticeQuotient(ambient_rank, relations)
 
 
 @dataclass(frozen=True)
@@ -435,7 +408,7 @@ def induced_endomorphism(q: LatticeQuotient, p: IntMatrix) -> TorsionEndomorphis
 
 def finite_cokernel_order(ambient_rank: int, combined_relations: IntMatrix):
     """Order of Z^n modulo the row span, or None when the quotient is infinite."""
-    quot = lattice_quotient(ambient_rank, combined_relations)
+    quot = LatticeQuotient(ambient_rank, combined_relations)
     if quot.group.free_rank > 0:
         return None
     return quot.group.torsion_order

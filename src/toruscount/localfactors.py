@@ -20,9 +20,9 @@ from .errors import EnumerationCapError, SpecValidationError
 from .intlinalg import (
     DEFAULT_ENUMERATION_CAP,
     IntMatrix,
+    LatticeQuotient,
     finite_cokernel_order,
     induced_endomorphism,
-    lattice_quotient,
     torsion_elements,
     unimodular_inverse,
 )
@@ -148,7 +148,7 @@ class LocalCalculator:
         return torsion, free
 
     def _free_block_cokernel(self, quot, phi):
-        w = quot._u @ phi @ unimodular_inverse(quot._u)
+        w = quot._u @ phi @ quot._uinv
         free = quot.free_positions
         block = IntMatrix.from_rows(
             [[w.entries[i][j] for j in free] for i in free], cols=len(free))
@@ -164,7 +164,7 @@ class LocalCalculator:
         order_n = local.q ** local.f - 1
         scaled = IntMatrix.from_rows(
             [[order_n * int(i == j) for j in range(n)] for i in range(n)], cols=n)
-        quot = lattice_quotient(n, diag.defining_rows.stack(scaled))
+        quot = LatticeQuotient(n, diag.defining_rows.stack(scaled))
         factors = quot.group.invariant_factors
         reps = [quot.from_coords(tuple(int(k == j) for k in range(len(factors))))
                 for j in range(len(factors))]

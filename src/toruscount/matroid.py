@@ -1,8 +1,14 @@
 """Linear matroids over Q with exact rank computations, the base-polytope
 minimum of the sup norm, and bias certificates.
 
+A rational row is scaled once, by the lcm of its denominators, to a row of
+integers; scaling a row by a nonzero constant changes no rank, so every rank
+is then computed by the package's one fraction-free integer kernel,
+``intlinalg.bareiss``.
+
 The optimum value is computed from rank differences: the best ratio
-(r(N) - r(N \\ A)) / |A| over nonempty subsets A of the ground set.  An
+(r(N) - r(N \\ A)) / |A| over nonempty subsets A of the ground set, found by
+the same weighted best-ratio search that bounds the archimedean abscissa.  An
 independent oracle recovers the same number from the polytope definition by
 searching candidate levels and testing, with exact rational arithmetic,
 whether some convex combination of basis indicators stays inside the box.
@@ -13,17 +19,26 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import EnumerationCapError
+from .intlinalg import bareiss
 
 ORACLE_GROUND_CAP = 10
 
 
+def _integer_row(row):
+    """The rational row scaled by the lcm of its denominators."""
+    row = [Fraction(x) for x in row]
+    scale = lcm(*(x.denominator for x in row))
+    return tuple(int(x * scale) for x in row)
+
+
 class LinearMatroid:
-    """Ground set of rational row vectors with a cached rank oracle."""
+    """Ground set of rational row vectors, held as integer rows, with a cached rank oracle."""
 
     def __init__(self, rows):
-        self.ground = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        self.ground = tuple(_integer_row(row) for row in rows)
         if self.ground:
             self.ncols = len(self.ground[0])
             if any(len(row) != self.ncols for row in self.ground):
@@ -37,44 +52,14 @@ class LinearMatroid:
         return len(self.ground)
 
     def rank(self, indices):
-        """Dimension of the span of the selected rows, by exact elimination."""
+        """Dimension of the span of the selected rows, by fraction-free elimination."""
         key = frozenset(indices)
-        cached = self._rank_cache.get(key)
-        if cached is not None:
-            return cached
-        rows = [list(self.ground[i]) for i in sorted(key)]
-        rank = 0
-        for col in range(self.ncols):
-            piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            inv = 1 / rows[rank][col]
-            for r in range(rank + 1, len(rows)):
-                if rows[r][col] != 0:
-                    f = rows[r][col] * inv
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-            rank += 1
-        self._rank_cache[key] = rank
-        return rank
+        if key not in self._rank_cache:
+            self._rank_cache[key] = bareiss([self.ground[i] for i in key], self.ncols)[0]
+        return self._rank_cache[key]
 
     def full_rank(self):
         return self.rank(range(self.size)) == self.ncols
-
-
-class RankOracleMatroid:
-    """Abstract matroid given by an explicit rank function (test utility)."""
-
-    def __init__(self, size, rank_fn):
-        self.size = size
-        self._fn = rank_fn
-        self._rank_cache = {}
-
-    def rank(self, indices):
-        key = frozenset(indices)
-        if key not in self._rank_cache:
-            self._rank_cache[key] = self._fn(key)
-        return self._rank_cache[key]
 
 
 @dataclass(frozen=True)
@@ -95,9 +80,26 @@ def _require_full_rank(matroid):
         raise ValueError("not full rank")
 
 
-def _subsets_by_size(universe):
+def _best_ratio(matroid, weights):
+    """Largest (r(N) - r(N \\ A)) / sum(weights[i] for i in A) over nonempty A.
+
+    Subsets are searched by size, then lexicographically, and only a strictly
+    larger ratio replaces the best, so the witness (A, rank drop) is the first
+    maximizer in that order.  An empty ground set gives (None, None).
+    """
+    universe = tuple(range(matroid.size))
+    total = matroid.rank(universe)
+    best = None
+    witness = None
     for size in range(1, len(universe) + 1):
-        yield from itertools.combinations(universe, size)
+        for subset in itertools.combinations(universe, size):
+            rest = tuple(i for i in universe if i not in subset)
+            beta = total - matroid.rank(rest)
+            ratio = Fraction(beta, sum(weights[i] for i in subset))
+            if best is None or ratio > best:
+                best = ratio
+                witness = (subset, beta)
+    return best, witness
 
 
 def b_infinity(matroid):
@@ -108,31 +110,8 @@ def b_infinity(matroid):
     if matroid.size == 0:
         raise ValueError("empty ground set")
     _require_full_rank(matroid)
-    universe = tuple(range(matroid.size))
-    total = matroid.rank(universe)
-    best = None
-    witness = None
-    for subset in _subsets_by_size(universe):
-        rest = tuple(i for i in universe if i not in subset)
-        beta = total - matroid.rank(rest)
-        ratio = Fraction(beta, len(subset))
-        if best is None or ratio > best:
-            best = ratio
-            witness = BiasCertificate(subset=subset, alpha=len(subset), beta=beta)
-    return best, witness
-
-
-def is_biased(matroid, alpha, beta):
-    """Whether some alpha-element subset meets every basis in >= beta elements."""
-    if not 1 <= beta <= alpha <= matroid.size:
-        raise ValueError("need 1 <= beta <= alpha <= ground size")
-    universe = tuple(range(matroid.size))
-    total = matroid.rank(universe)
-    for subset in itertools.combinations(universe, alpha):
-        rest = tuple(i for i in universe if i not in subset)
-        if total - matroid.rank(rest) >= beta:
-            return True, subset
-    return False, None
+    best, (subset, beta) = _best_ratio(matroid, (1,) * matroid.size)
+    return best, BiasCertificate(subset=subset, alpha=len(subset), beta=beta)
 
 
 def bases(matroid):
@@ -226,16 +205,3 @@ def _box_feasible(indicators, m, level):
             value -= f * rhs[leave]
         basis[leave] = enter
     return -value == 0
-
-
-def max_common_independent(m1, m2):
-    """Largest common independent set of two matroids (exhaustive; test utility)."""
-    if m1.size != m2.size:
-        raise ValueError("matroids must share a ground set")
-    universe = tuple(range(m1.size))
-    best = 0
-    for size in range(len(universe), 0, -1):
-        for subset in itertools.combinations(universe, size):
-            if m1.rank(subset) == size and m2.rank(subset) == size:
-                return size
-    return best

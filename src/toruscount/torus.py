@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import NotFaithfulError, SchemaError, SpecValidationError
-from .intlinalg import FinAbGroup, IntMatrix, LatticeQuotient, lattice_quotient
+from .intlinalg import FinAbGroup, IntMatrix, LatticeQuotient
 
 DEFAULT_GROUP_CAP = 10**4
 DEFAULT_DISTINCT_CAP = 20
@@ -195,7 +195,7 @@ class TorusAnalysis:
             rows = IntMatrix.from_rows(
                 [self.coweights.distinct[i] for i in support], cols=self.spec.n
             )
-            cached = DiagGroup(rows, lattice_quotient(self.spec.n, rows))
+            cached = DiagGroup(rows, LatticeQuotient(self.spec.n, rows))
             self._diag_cache[support] = cached
         return cached
 

@@ -208,3 +208,37 @@ def test_analyze_with_bad_archimedean_blocks_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", "--input", path)
     assert code == 2
     assert "dimension mismatch" in err
+
+
+def test_analyze_malformed_archimedean_block_exit_1(tmp_path, capsys):
+    good = {"n1": 1, "n2": 0, "n3": 0, "m1": 1, "m2": 0, "m3": 0,
+            "A1": [[1]], "A2": [], "A3": [], "C": [], "B1": [[]], "B2": [], "B3": []}
+    cases = (
+        (dict(good, n1=[1]), "archimedean.n1"),
+        ("x", "archimedean"),
+        (dict(good, A1=5), "archimedean.A1"),
+        (dict(good, m1=True), "archimedean.m1"),
+    )
+    for block, field in cases:
+        doc = dict(gallery.GL1_STANDARD, archimedean=block)
+        path = write_json(tmp_path, "spec.json", doc)
+        code, _, err = run_cli(capsys, "analyze", "--input", path)
+        assert code == 1, block
+        assert err.startswith(f"schema error: {field}"), err
+
+
+def test_gtilde_bool_word_or_unit_is_schema_error(tmp_path, capsys):
+    for gen, field in (({"g": [True], "unit": 1}, ".g"), ({"g": [0], "unit": True}, ".unit")):
+        doc = dict(gallery.NORM_QUOTIENT_Z4)
+        doc["gtilde"] = {"mode": "explicit", "generators": [gen]}
+        path = write_json(tmp_path, "spec.json", doc)
+        code, _, err = run_cli(capsys, "analyze", "--input", path)
+        assert code == 1
+        assert f"gtilde.generators[0]{field}" in err
+
+
+def test_local_negative_cap_exit_2(tmp_path, capsys):
+    path = write_json(tmp_path, "spec.json", gallery.GL1_SQUARE_CUBE)
+    code, out, err = run_cli(capsys, "local", "--input", path, "--q", "7", "--cap", "-3")
+    assert code == 2 and out == ""
+    assert "--cap" in err

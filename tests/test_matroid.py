@@ -6,13 +6,12 @@ import pytest
 from toruscount.errors import EnumerationCapError
 from toruscount.matroid import (
     LinearMatroid,
-    RankOracleMatroid,
     b_infinity,
     b_infinity_oracle,
     bases,
-    is_biased,
-    max_common_independent,
 )
+
+from matroidutil import RankOracleMatroid, is_biased, max_common_independent
 
 
 def test_rank_examples():
