@@ -157,10 +157,15 @@ def cmd_analyze(args, out):
 def cmd_local(args, out):
     if args.cap < 0:
         raise SpecValidationError(f"--cap: must be >= 0, got {args.cap}")
+    try:
+        word = [int(w) for w in args.frobenius.split(",") if w != ""]
+    except ValueError:
+        raise SchemaError(
+            f"--frobenius: expected comma-separated generator indices, got {args.frobenius!r}"
+        ) from None
     document = _load_document(args.input)
     analysis = load_spec(document, distinct_cap=args.distinct_cap)
     calc = LocalCalculator(analysis)
-    word = [int(w) for w in args.frobenius.split(",") if w != ""] if args.frobenius else []
     frobenius = analysis.spec.word_to_index(word)
     local = make_local_data(analysis, args.q, frobenius)
     table = calc.local_factor(local, cap=args.cap)

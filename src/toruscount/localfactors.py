@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import EnumerationCapError, SpecValidationError
 from .intlinalg import (
@@ -24,7 +24,6 @@ from .intlinalg import (
     finite_cokernel_order,
     induced_endomorphism,
     torsion_elements,
-    unimodular_inverse,
 )
 from .orbits import FiberTransport
 
@@ -34,7 +33,8 @@ DEFAULT_VECTOR_CAP = 10**6
 def _prime_power_split(q):
     if q < 2:
         raise SpecValidationError(f"q: {q} is not a prime power")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
+    # the least divisor > 1 is prime; none up to isqrt(q) means q itself is prime
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
     rest = q
     while rest % p == 0:
         rest //= p
@@ -96,13 +96,10 @@ class LocalCalculator:
             raise SpecValidationError(
                 f"q not coprime to lambda: gcd({local.q}, {self.lambda_}) != 1")
 
-    def _frobenius_inverse(self, local):
-        return unimodular_inverse(self.analysis.spec.group_elements[local.frobenius])
-
     def _dual_map(self, local):
         """q * id - Fr^{-1} on the ambient lattice."""
         n = self.analysis.spec.n
-        ainv = self._frobenius_inverse(local)
+        ainv = self.analysis.spec.inverse(local.frobenius)
         return IntMatrix.from_rows(
             [[local.q * int(i == j) - ainv.entries[i][j] for j in range(n)] for i in range(n)],
             cols=n,
@@ -168,7 +165,7 @@ class LocalCalculator:
         factors = quot.group.invariant_factors
         reps = [quot.from_coords(tuple(int(k == j) for k in range(len(factors))))
                 for j in range(len(factors))]
-        ainv = self._frobenius_inverse(local)
+        ainv = self.analysis.spec.inverse(local.frobenius)
         moved = [quot.to_coords(ainv.apply(rep)) for rep in reps]
 
         def value(point, coords):

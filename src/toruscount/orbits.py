@@ -6,16 +6,20 @@ quotient: the tuple (a_1, ..., a_r) stands for the homomorphism sending the
 i-th torsion generator to a_i / d_i in Q/Z.  A lattice automorphism g carries
 a fiber point over S to one over gS by precomposition with g^{-1}; a unit u
 acts by raising to the u-th power, i.e. by scaling coordinates.
+
+Orbits are the components of the graph that joins each point to its images
+under a generating set of the enlarged group, found by union-find, so the
+work is |points| x |generators|.  The group's full element list is kept for
+the Burnside count, the independent full-group oracle for the orbit count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import SpecValidationError
-from .intlinalg import torsion_elements, unimodular_inverse
+from .intlinalg import torsion_elements
 from .torus import SubMultiset
 
 DEFAULT_GTILDE_CAP = 10**5
@@ -23,11 +27,12 @@ DEFAULT_GTILDE_CAP = 10**5
 
 @dataclass(frozen=True)
 class EnlargedGroup:
-    """Subgroup of G x (Z/lambda)^x, as explicit element pairs."""
+    """Subgroup of G x (Z/lambda)^x, as explicit element pairs and generators."""
 
     lambda_: int
     elements: tuple  # pairs (group element index, unit residue mod lambda)
     mode: str
+    generators: tuple  # distinct non-identity pairs that generate ``elements``
 
     @property
     def order(self):
@@ -36,6 +41,11 @@ class EnlargedGroup:
 
 def units_mod(lam):
     return tuple(u for u in range(lam) if gcd(u, lam) == 1)
+
+
+def _generating_pairs(pairs, identity):
+    """Distinct pairs in first-seen order, the identity dropped."""
+    return tuple(pair for pair in dict.fromkeys(pairs) if pair != identity)
 
 
 def build_gtilde(analysis, lam=None, override=None, cap=DEFAULT_GTILDE_CAP):
@@ -47,12 +57,18 @@ def build_gtilde(analysis, lam=None, override=None, cap=DEFAULT_GTILDE_CAP):
     """
     if lam is None:
         lam = analysis.lambda_invariant()
-    group_size = analysis.spec.order
+    spec = analysis.spec
+    group_size = spec.order
+    identity = (spec.identity_index, 1 % lam)
     if override is None:
         elements = tuple(
             (g, u) for g in range(group_size) for u in units_mod(lam)
         )
-        return EnlargedGroup(lambda_=lam, elements=elements, mode="full")
+        generators = _generating_pairs(
+            [(spec.element_index(m), 1 % lam) for m in spec.generators]
+            + [(spec.identity_index, u) for u in units_mod(lam)], identity)
+        return EnlargedGroup(lambda_=lam, elements=elements, mode="full",
+                             generators=generators)
 
     pairs = []
     for g, u in override:
@@ -62,14 +78,13 @@ def build_gtilde(analysis, lam=None, override=None, cap=DEFAULT_GTILDE_CAP):
         if gcd(u, lam) != 1:
             raise SpecValidationError(f"gtilde: {u} is not a unit mod {lam}")
         pairs.append((g, u))
-    identity = (analysis.spec.identity_index, 1 % lam)
     closure = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for (g, u) in frontier:
             for (h, v) in pairs:
-                prod = (analysis.spec.compose(g, h), (u * v) % lam)
+                prod = (spec.compose(g, h), (u * v) % lam)
                 if prod not in closure:
                     closure.add(prod)
                     nxt.append(prod)
@@ -78,7 +93,8 @@ def build_gtilde(analysis, lam=None, override=None, cap=DEFAULT_GTILDE_CAP):
         frontier = nxt
     if {g for g, _ in closure} != set(range(group_size)):
         raise SpecValidationError("gtilde: projection not surjective onto G")
-    return EnlargedGroup(lambda_=lam, elements=tuple(sorted(closure)), mode="explicit")
+    return EnlargedGroup(lambda_=lam, elements=tuple(sorted(closure)), mode="explicit",
+                         generators=_generating_pairs(pairs, identity))
 
 
 @dataclass(frozen=True)
@@ -99,26 +115,29 @@ class FiberTransport:
         self.target_factors = target.pi0.invariant_factors
         if sorted(self.source_factors) != sorted(self.target_factors):
             raise AssertionError("group action changed component-group invariants")
-        ginv = unimodular_inverse(analysis.spec.group_elements[g_index])
-        self._columns = []
+        # target coordinate j is sum_i fiber_i * weight_ji / L times d_j, with L the
+        # lcm of the source factors and weight_ji = column_ji * (L / d_i)
+        self._lcm = lcm(*self.source_factors)
+        self._weights = []
+        if not self.target_factors:
+            return
+        ginv = analysis.spec.inverse(g_index)
         for j in range(len(self.target_factors)):
             unit = tuple(1 if i == j else 0 for i in range(len(self.target_factors)))
             rep = target.quotient.from_coords(unit)
             tors, free = source.quotient.to_full_coords(ginv.apply(rep))
             if any(free):
                 raise AssertionError("transported generator is not torsion")
-            self._columns.append(tors)
+            self._weights.append(
+                tuple(t * (self._lcm // di) for t, di in zip(tors, self.source_factors)))
 
     def apply(self, fiber):
         out = []
-        for j, dj in enumerate(self.target_factors):
-            val = Fraction(0)
-            for i, di in enumerate(self.source_factors):
-                val += Fraction(fiber[i] * self._columns[j][i], di)
-            scaled = val * dj
-            if scaled.denominator != 1:
+        for weights, dj in zip(self._weights, self.target_factors):
+            scaled = sum(f * w for f, w in zip(fiber, weights)) * dj
+            if scaled % self._lcm:
                 raise AssertionError("fiber transport produced a non-integral coordinate")
-            out.append(int(scaled) % dj)
+            out.append(scaled // self._lcm % dj)
         return tuple(out)
 
 
@@ -165,7 +184,11 @@ class FiberedAttainingSet:
         return FiberedSubset(s2.counts, fiber2)
 
     def orbits(self):
-        """Deterministic orbit partition under the whole enlarged group."""
+        """Deterministic orbit partition under the enlarged group, from its generators.
+
+        Each root is the smallest index in its component, so orbits come out
+        ordered by their first element and list their elements in order.
+        """
         index = {e: i for i, e in enumerate(self.elements)}
         parent = list(range(len(self.elements)))
 
@@ -176,7 +199,7 @@ class FiberedAttainingSet:
             return i
 
         for e in self.elements:
-            for gelem in self.gtilde.elements:
+            for gelem in self.gtilde.generators:
                 img = self.act(gelem, e)
                 a, b = find(index[e]), find(index[img])
                 if a != b:

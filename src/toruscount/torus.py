@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import NotFaithfulError, SchemaError, SpecValidationError
-from .intlinalg import FinAbGroup, IntMatrix, LatticeQuotient
+from .intlinalg import FinAbGroup, IntMatrix, LatticeQuotient, unimodular_inverse
 
 DEFAULT_GROUP_CAP = 10**4
 DEFAULT_DISTINCT_CAP = 20
@@ -38,6 +38,7 @@ class TorusSpec:
                 raise SpecValidationError(f"generators[{idx}]: generator not unimodular")
         self.group_elements = self._closure(group_cap)
         self._index = {m.entries: i for i, m in enumerate(self.group_elements)}
+        self._inverses = {}
 
     def _closure(self, cap):
         ident = IntMatrix.identity(self.n)
@@ -72,6 +73,13 @@ class TorusSpec:
             return self._index[matrix.entries]
         except KeyError:
             raise SpecValidationError("matrix is not a group element") from None
+
+    def inverse(self, i):
+        """Inverse matrix of element i, computed on first request and cached."""
+        inv = self._inverses.get(i)
+        if inv is None:
+            inv = self._inverses[i] = unimodular_inverse(self.group_elements[i])
+        return inv
 
     def compose(self, i, j):
         """Index of element_i @ element_j."""

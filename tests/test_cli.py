@@ -242,3 +242,10 @@ def test_local_negative_cap_exit_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "local", "--input", path, "--q", "7", "--cap", "-3")
     assert code == 2 and out == ""
     assert "--cap" in err
+
+
+def test_local_non_integer_frobenius_is_schema_error(tmp_path, capsys):
+    path = write_json(tmp_path, "spec.json", gallery.NORM_QUOTIENT_S3)
+    code, out, err = run_cli(capsys, "local", "--input", path, "--q", "7", "--frobenius", "0,a")
+    assert code == 1 and out == ""
+    assert "--frobenius" in err

@@ -25,6 +25,14 @@ def test_make_local_data_prime_power_and_order():
         make_local_data(analysis, 12)
 
 
+def test_make_local_data_large_q_splits_by_trial_division_to_sqrt():
+    analysis, _ = calc_for(gallery.GL1_STANDARD)
+    assert make_local_data(analysis, 1_000_000_007).p == 1_000_000_007
+    assert make_local_data(analysis, 3**13).p == 3
+    with pytest.raises(SpecValidationError, match="prime power"):
+        make_local_data(analysis, 2 * 1_000_000_007)
+
+
 def test_coprimality_guard():
     analysis, calc = calc_for(gallery.GL1_SQUARE_CUBE)
     local = make_local_data(analysis, 3)

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 
-from toruscount import gallery
+from toruscount import gallery, torus
 from toruscount.errors import NotFaithfulError, SpecValidationError
-from toruscount.orbits import FiberedSubset, FiberedAttainingSet, build_gtilde
+from toruscount.localfactors import LocalCalculator, make_local_data
+from toruscount.orbits import FiberedSubset, FiberedAttainingSet, build_gtilde, units_mod
 from toruscount.torus import load_spec
 
 from randspecs import random_faithful_spec
@@ -145,8 +147,6 @@ def test_lambda_one_reduces_to_plain_subset_orbits():
 
 
 def test_burnside_on_random_specs():
-    import random
-
     rng = random.Random(777)
     nontrivial_transports = 0
     for _ in range(25):
@@ -170,3 +170,94 @@ def test_burnside_on_random_specs():
                 assert image == space.act((g1, u1), space.act((g2, u2), e))
     # the sample must actually exercise fibered actions over nontrivial groups
     assert nontrivial_transports >= 3
+
+
+# Two square-cube tori swapped by G = Z/2: lambda = 36, so G~ = G x (Z/36)^x has
+# order 24, and the pair (swap, 5) generates a proper subgroup of order 6.
+SWAPPED_SQUARE_CUBE = {
+    "dim": 2,
+    "generators": [[[0, 1], [1, 0]]],
+    "coweights": [{"vector": v} for v in ([2, 0], [0, 2], [3, 0], [0, 3])],
+}
+
+# The S5 norm-quotient torus: |G| = 120 acting on the five letters e_1..e_4, -sum e_i.
+S5_NORM_QUOTIENT = {
+    "dim": 4,
+    "generators": [
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]],
+    ],
+    "coweights": [{"vector": v} for v in (
+        [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1])],
+}
+
+
+def orbits_from_all_elements(space):
+    """Reference partition: each point's image set under every element of G~."""
+    index = {e: i for i, e in enumerate(space.elements)}
+    orbits = {}
+    for e in space.elements:
+        orbit = sorted({index[space.act(gelem, e)] for gelem in space.gtilde.elements})
+        orbits[orbit[0]] = [space.elements[i] for i in orbit]
+    return [orbits[first] for first in sorted(orbits)]
+
+
+def test_generator_orbits_match_full_group_orbits():
+    spaces = [space_for(doc) for _, doc, _ in gallery.GALLERY]
+    rng = random.Random(2024)
+    spaces += [FiberedAttainingSet(random_faithful_spec(rng)) for _ in range(25)]
+    analysis = load_spec(SWAPPED_SQUARE_CUBE)
+    swap = analysis.spec.word_to_index([0])
+    subgroup = build_gtilde(analysis, override=[(swap, 5)])
+    assert subgroup.order == 6 < build_gtilde(analysis).order
+    spaces.append(FiberedAttainingSet(analysis, subgroup))
+    for space in spaces:
+        assert space.orbits() == orbits_from_all_elements(space)
+
+
+def test_gtilde_generators():
+    analysis = load_spec(SWAPPED_SQUARE_CUBE)
+    swap = analysis.spec.word_to_index([0])
+    full = build_gtilde(analysis)
+    assert full.generators == ((swap, 1),) + tuple((0, u) for u in units_mod(36) if u != 1)
+    explicit = build_gtilde(analysis, override=[(swap, 5), (0, 1), (swap, 41)])
+    assert explicit.generators == ((swap, 5),)
+
+
+def test_orbits_act_and_inverse_counts(monkeypatch):
+    acts = 0
+    act = FiberedAttainingSet.act
+
+    def counting_act(self, gelem, element):
+        nonlocal acts
+        acts += 1
+        return act(self, gelem, element)
+
+    inverted = []
+    inverse = torus.unimodular_inverse
+
+    def counting_inverse(m):
+        inverted.append(m.entries)
+        return inverse(m)
+
+    monkeypatch.setattr(FiberedAttainingSet, "act", counting_act)
+    monkeypatch.setattr(torus, "unimodular_inverse", counting_inverse)
+
+    space = space_for(S5_NORM_QUOTIENT)
+    assert space.gtilde.order == 120
+    assert space.orbit_count() == 4
+    assert acts == len(space.elements) * len(space.gtilde.generators)
+    assert len(inverted) == len(set(inverted))
+
+    # fibered points over a nontrivial group: transports and the Frobenius
+    # (the swap) share one inverse per element
+    analysis = load_spec(SWAPPED_SQUARE_CUBE)
+    FiberedAttainingSet(analysis).orbits()
+    calc = LocalCalculator(analysis)
+    local = make_local_data(analysis, 5, analysis.spec.word_to_index([0]))
+    calc.local_factor(local, cap=4)
+    for s in analysis.sigma_set():
+        if calc.frobenius_fixes(local, s.counts):
+            calc.a_count(s, local)
+    assert inverted
+    assert len(inverted) == len(set(inverted))
