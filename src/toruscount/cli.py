@@ -52,6 +52,13 @@ def _load_document(path):
         raise SchemaError(f"{path}: invalid JSON ({exc})") from None
 
 
+def _word_index(analysis, word, field):
+    try:
+        return analysis.spec.word_to_index(word)
+    except SchemaError as exc:
+        raise SchemaError(f"{field}: {exc}") from None
+
+
 def _gtilde_from_document(analysis, document):
     doc = document.get("gtilde")
     if doc is None:
@@ -60,8 +67,11 @@ def _gtilde_from_document(analysis, document):
         raise SchemaError("gtilde.mode: expected 'full' or 'explicit'")
     if doc["mode"] == "full":
         return build_gtilde(analysis)
+    gens = doc.get("generators", [])
+    if not isinstance(gens, list):
+        raise SchemaError("gtilde.generators: expected a list of {'g': word, 'unit': int}")
     override = []
-    for idx, gen in enumerate(doc.get("generators", [])):
+    for idx, gen in enumerate(gens):
         if not isinstance(gen, dict) or "g" not in gen or "unit" not in gen:
             raise SchemaError(f"gtilde.generators[{idx}]: expected {{'g': word, 'unit': int}}")
         word = gen["g"]
@@ -70,7 +80,8 @@ def _gtilde_from_document(analysis, document):
             raise SchemaError(f"gtilde.generators[{idx}].g: expected a list of generator indices")
         if not isinstance(gen["unit"], int) or isinstance(gen["unit"], bool):
             raise SchemaError(f"gtilde.generators[{idx}].unit: expected an integer")
-        override.append((analysis.spec.word_to_index(word), gen["unit"]))
+        override.append((_word_index(analysis, word, f"gtilde.generators[{idx}].g"),
+                         gen["unit"]))
     return build_gtilde(analysis, override=override)
 
 
@@ -103,10 +114,9 @@ def build_report(analysis, document=None):
         }
         for (a, b) in sorted(strata)
     ]
-    report["abscissae"] = {
-        "ramified": format_rational(analysis.abscissa("ramified")),
-        "archimedean": format_rational(analysis.abscissa("archimedean")),
-    }
+    # the ramified and archimedean abscissae are one number (see TorusAnalysis.abscissa)
+    abscissa = format_rational(analysis.abscissa())
+    report["abscissae"] = {"ramified": abscissa, "archimedean": abscissa}
     blocks_doc = (document or {}).get("archimedean")
     if blocks_doc is not None:
         mats = assemble(ArchBlocks.from_dict(blocks_doc))
@@ -166,7 +176,7 @@ def cmd_local(args, out):
     document = _load_document(args.input)
     analysis = load_spec(document, distinct_cap=args.distinct_cap)
     calc = LocalCalculator(analysis)
-    frobenius = analysis.spec.word_to_index(word)
+    frobenius = _word_index(analysis, word, "--frobenius")
     local = make_local_data(analysis, args.q, frobenius)
     table = calc.local_factor(local, cap=args.cap)
     diagnostics = []

@@ -135,13 +135,12 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
 
 @dataclass(frozen=True)
 class SNFDecomposition:
-    """U @ source @ V = D with U, V unimodular, U_inv = U^-1, D diagonal, d_i | d_{i+1}."""
+    """U @ M @ V = D for the input M: U, V unimodular, U_inv = U^-1, D diagonal, d_i | d_{i+1}."""
 
     U: IntMatrix
     U_inv: IntMatrix
     D: IntMatrix
     V: IntMatrix
-    source: IntMatrix
 
     @property
     def diagonal(self):
@@ -262,7 +261,6 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
         U_inv=IntMatrix.from_rows(uinv, cols=nr),
         D=IntMatrix.from_rows(a, cols=nc) if nr else IntMatrix.zeros(0, nc),
         V=IntMatrix.from_rows(v, cols=nc),
-        source=m,
     )
 
 

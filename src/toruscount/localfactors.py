@@ -62,16 +62,6 @@ def make_local_data(analysis, q, frobenius_index=0):
 
 
 @dataclass(frozen=True)
-class ConductorVector:
-    """Nonnegative exponent per distinct coweight; |c| weights by multiplicity."""
-
-    entries: tuple
-
-    def weighted_size(self, multiplicity):
-        return sum(c * m for c, m in zip(self.entries, multiplicity))
-
-
-@dataclass(frozen=True)
 class EulerFactorTruncation:
     """Coefficient of q^{-s e} for every exponent e up to the cap."""
 
@@ -213,7 +203,7 @@ class LocalCalculator:
 
     def pi_leq(self, c, local):
         """Count of parameters with conductor at most c, for Frobenius-fixed c."""
-        entries = tuple(c.entries) if isinstance(c, ConductorVector) else tuple(c)
+        entries = tuple(c)
         self.analysis._require_faithful()
         self._check_coprime(local)
         if not self.frobenius_fixes(local, entries):
@@ -246,7 +236,7 @@ class LocalCalculator:
         decrement patterns on distinct coweights: repeated copies of a coweight
         share one entry, and each decremented coweight contributes one sign.
         """
-        entries = tuple(c.entries) if isinstance(c, ConductorVector) else tuple(c)
+        entries = tuple(c)
         self.analysis._require_faithful()
         self._check_coprime(local)
         if not self.frobenius_fixes(local, entries):

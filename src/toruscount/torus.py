@@ -7,6 +7,13 @@ column vectors of the rank-n lattice; coweights live in the same lattice and
 transform by the same matrices.  A sub-multiset assigns to every distinct
 coweight a count between 0 and its multiplicity; the kernel attached to it
 depends only on which coweights remain in the complement.
+
+A, the abscissa and lambda need only the 2^k all-or-nothing sub-multisets
+(each count 0 or full), one per complement support T: among the sub-multisets
+sharing T it is the smallest and componentwise, hence lexicographically, first,
+so it maximizes (dim + 1)/|S| and dim/|S| and is the lex-first maximizer that
+the A witness tie-break asks for.  The attaining set sigma lists every count
+vector that attains A, so it still filters all of them, once per analysis.
 """
 
 from __future__ import annotations
@@ -173,6 +180,7 @@ class TorusAnalysis:
         self.coweights = coweights
         self._diag_cache = {}
         self._lambda = None
+        self._sigma = None
 
     # -- sub-multiset plumbing -------------------------------------------------
 
@@ -180,6 +188,11 @@ class TorusAnalysis:
         """Every sub-multiset, in lexicographic count-vector order."""
         ranges = [range(m + 1) for m in self.coweights.multiplicity]
         for counts in itertools.product(*ranges):
+            yield SubMultiset(counts)
+
+    def all_or_nothing(self):
+        """The 2^k sub-multisets with every count 0 or full, in lexicographic order."""
+        for counts in itertools.product(*((0, m) for m in self.coweights.multiplicity)):
             yield SubMultiset(counts)
 
     def complement_support(self, s):
@@ -220,13 +233,11 @@ class TorusAnalysis:
             raise NotFaithfulError("not faithful")
 
     def invariant_A(self):
-        """The conductor exponent with one maximizing sub-multiset as witness."""
+        """The conductor exponent with its lex-first maximizing sub-multiset as witness."""
         self._require_faithful()
         best = None
         witness = None
-        for s in self.subsets():
-            if s.size == 0:
-                continue
+        for s in self.all_or_nothing():
             diag = self.diag_group(s)
             if diag.is_trivial:
                 continue
@@ -238,24 +249,17 @@ class TorusAnalysis:
 
     def sigma_set(self):
         """All nonempty sub-multisets attaining the exponent, trivial kernels included."""
-        value, _ = self.invariant_A()
-        out = []
-        for s in self.subsets():
-            if s.size == 0:
-                continue
-            diag = self.diag_group(s)
-            if Fraction(diag.dimension + 1, s.size) == value:
-                out.append(s)
-        return out
+        if self._sigma is None:
+            value, _ = self.invariant_A()
+            self._sigma = tuple(
+                s for s in self.subsets()
+                if s.size and Fraction(self.diag_group(s).dimension + 1, s.size) == value)
+        return self._sigma
 
     def lambda_invariant(self):
         if self._lambda is None:
-            value = 1
-            indices = range(len(self.coweights))
-            for r in range(len(self.coweights) + 1):
-                for support in itertools.combinations(indices, r):
-                    value = lcm(value, self.diag_for_support(support).pi0.torsion_order)
-            self._lambda = value
+            self._lambda = lcm(*(self.diag_group(s).pi0.torsion_order
+                                 for s in self.all_or_nothing()))
         return self._lambda
 
     def strata(self):
@@ -269,21 +273,17 @@ class TorusAnalysis:
             out.setdefault(key, []).append(s)
         return out
 
-    def abscissa(self, variant):
-        """Convergence abscissa: max of dim/|S| over the variant's admissible S."""
-        if variant not in ("ramified", "archimedean"):
-            raise ValueError("variant must be 'ramified' or 'archimedean'")
+    def abscissa(self):
+        """Convergence abscissa: max of dim/|S| over S with a positive-dimensional kernel.
+
+        The ramified abscissa, over nontrivial kernels, is the same number: a
+        zero-dimensional kernel adds a ratio of 0, and the maximum starts at 0.
+        """
         self._require_faithful()
         best = Fraction(0)
-        for s in self.subsets():
-            if s.size == 0:
-                continue
+        for s in self.all_or_nothing():
             diag = self.diag_group(s)
-            if variant == "ramified":
-                admissible = not diag.is_trivial
-            else:
-                admissible = diag.dimension >= 1
-            if admissible:
+            if diag.dimension >= 1:
                 best = max(best, Fraction(diag.dimension, s.size))
         return best
 

@@ -3,7 +3,7 @@ import json
 
 from toruscount import gallery
 from toruscount.cli import build_report, main, run_gallery
-from toruscount.torus import load_spec
+from toruscount.torus import TorusAnalysis, load_spec
 
 
 def run_cli(capsys, *argv):
@@ -249,3 +249,40 @@ def test_local_non_integer_frobenius_is_schema_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "local", "--input", path, "--q", "7", "--frobenius", "0,a")
     assert code == 1 and out == ""
     assert "--frobenius" in err
+
+
+def test_gtilde_non_list_generators_is_schema_error(tmp_path, capsys):
+    for generators in (5, None, "0"):
+        doc = dict(gallery.NORM_QUOTIENT_Z4)
+        doc["gtilde"] = {"mode": "explicit", "generators": generators}
+        path = write_json(tmp_path, "spec.json", doc)
+        code, out, err = run_cli(capsys, "analyze", "--input", path)
+        assert code == 1 and out == ""
+        assert err.startswith("schema error: gtilde.generators:"), err
+
+
+def test_out_of_range_generator_index_names_its_source(tmp_path, capsys):
+    doc = dict(gallery.NORM_QUOTIENT_Z4)
+    doc["gtilde"] = {"mode": "explicit", "generators": [{"g": [0], "unit": 1},
+                                                        {"g": [5], "unit": 1}]}
+    path = write_json(tmp_path, "spec.json", doc)
+    code, _, err = run_cli(capsys, "analyze", "--input", path)
+    assert code == 1
+    assert err.startswith("schema error: gtilde.generators[1].g: generator index 5"), err
+    path = write_json(tmp_path, "spec.json", gallery.NORM_QUOTIENT_S3)
+    code, out, err = run_cli(capsys, "local", "--input", path, "--q", "7", "--frobenius", "0,5")
+    assert code == 1 and out == ""
+    assert err.startswith("schema error: --frobenius: generator index 5"), err
+
+
+def test_build_report_makes_one_count_vector_pass(monkeypatch):
+    passes = []
+    subsets = TorusAnalysis.subsets
+
+    def counted(self):
+        passes.append(self)
+        return subsets(self)
+
+    monkeypatch.setattr(TorusAnalysis, "subsets", counted)
+    build_report(load_spec(gallery.GL1_SQUARE_CUBE), gallery.GL1_SQUARE_CUBE)
+    assert len(passes) == 1

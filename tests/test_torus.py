@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -121,14 +122,11 @@ def test_strata():
 
 def test_abscissae():
     a1 = load_spec(gallery.GL1_STANDARD)
-    assert a1.abscissa("ramified") == 1
-    assert a1.abscissa("archimedean") == 1
+    assert a1.abscissa() == 1
     a3 = load_spec(gallery.GL1_SQUARE_CUBE)
-    assert a3.abscissa("ramified") == Fraction(1, 2)
-    assert a3.abscissa("archimedean") == Fraction(1, 2)
+    assert a3.abscissa() == Fraction(1, 2)
     a2 = load_spec(gallery.GL1_REPEATED_1001)
-    assert a2.abscissa("ramified") == Fraction(1, 1001)
-    assert a2.abscissa("archimedean") == Fraction(1, 1001)
+    assert a2.abscissa() == Fraction(1, 1001)
 
 
 def test_action_permutations_compose():
@@ -172,5 +170,54 @@ def test_exponent_bounds_on_random_faithful_specs():
         diag = analysis.diag_group(witness)
         assert not diag.is_trivial
         assert Fraction(diag.dimension + 1, witness.size) == value
-        assert analysis.abscissa("ramified") < value
-        assert analysis.abscissa("archimedean") < value
+        assert analysis.abscissa() < value
+
+
+def _brute_force(analysis):
+    """A with its lex-first witness, both abscissae and lambda, over every count vector."""
+    best = witness = None
+    ramified = archimedean = Fraction(0)
+    lam = 1
+    for s in analysis.subsets():
+        diag = analysis.diag_group(s)
+        lam = lcm(lam, diag.pi0.torsion_order)
+        if s.size == 0 or diag.is_trivial:
+            continue
+        ratio = Fraction(diag.dimension + 1, s.size)
+        if best is None or ratio > best:
+            best, witness = ratio, s
+        ramified = max(ramified, Fraction(diag.dimension, s.size))
+        if diag.dimension >= 1:
+            archimedean = max(archimedean, Fraction(diag.dimension, s.size))
+    return best, witness, ramified, archimedean, lam
+
+
+def _scaled_multiplicities(analysis, rng):
+    """The same torus with each coweight orbit's multiplicity multiplied by 1-4."""
+    factor = {}
+    for i in range(len(analysis.coweights)):
+        if i not in factor:
+            f = rng.randint(1, 4)
+            factor.update((perm[i], f) for perm in analysis.coweights.action)
+    return load_spec({
+        "dim": analysis.spec.n,
+        "generators": [[list(row) for row in g.entries] for g in analysis.spec.generators],
+        "coweights": [
+            {"vector": list(v), "multiplicity": m * factor[i]}
+            for i, (v, m) in enumerate(zip(analysis.coweights.distinct,
+                                           analysis.coweights.multiplicity))
+        ],
+    })
+
+
+def test_all_or_nothing_invariants_match_every_count_vector():
+    rng = random.Random(4321)
+    analyses = [load_spec(doc) for _, doc, _ in gallery.GALLERY]
+    analyses += [_scaled_multiplicities(random_faithful_spec(rng), rng) for _ in range(40)]
+    for analysis in analyses:
+        value, witness, ramified, archimedean, lam = _brute_force(analysis)
+        assert analysis.invariant_A() == (value, witness)
+        assert analysis.abscissa() == ramified == archimedean
+        assert analysis.lambda_invariant() == lam
+    # most inputs have count vectors that are not all-or-nothing
+    assert sum(max(a.coweights.multiplicity) > 1 for a in analyses) > len(analyses) // 2
