@@ -7,6 +7,14 @@ unramified of degree f, the multiplicative order of the chosen Frobenius
 element.  A character chi of the kernel's lattice pairs with the Frobenius
 through the dual map chi -> q*chi - Fr^{-1}(chi); counting is done with exact
 cokernel orders, with brute-force enumeration as the independent oracle.
+
+A Frobenius-fixed conductor vector is constant on each cycle of the Frobenius
+on the distinct coweights, so the truncated Euler factor lives on a grid with
+one entry a_j per cycle and weight sum_j a_j w_j, w_j the cycle's total
+multiplicity.  `local_factor` evaluates the bounded count pi_leq once per grid
+point and takes its first difference along every cycle axis in turn; each
+hom_count is an exact cokernel order, computed once per kernel and place.
+The 2^k-term inclusion-exclusion of `pi_eq` stays as the oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import EnumerationCapError, SpecValidationError
 from .intlinalg import (
@@ -78,6 +86,11 @@ class LocalCalculator:
     def __init__(self, analysis):
         self.analysis = analysis
         self.lambda_ = analysis.lambda_invariant()
+        # per place: the dual map and the Frobenius cycles; per (kernel, place):
+        # hom_count.  DiagGroup compares by identity and is cached per support.
+        self._dual_maps = {}
+        self._frobenius_cycles = {}
+        self._hom_counts = {}
 
     # -- plumbing ---------------------------------------------------------
 
@@ -87,22 +100,33 @@ class LocalCalculator:
                 f"q not coprime to lambda: gcd({local.q}, {self.lambda_}) != 1")
 
     def _dual_map(self, local):
-        """q * id - Fr^{-1} on the ambient lattice."""
-        n = self.analysis.spec.n
-        ainv = self.analysis.spec.inverse(local.frobenius)
-        return IntMatrix.from_rows(
-            [[local.q * int(i == j) - ainv.entries[i][j] for j in range(n)] for i in range(n)],
-            cols=n,
-        )
+        """q * id - Fr^{-1} on the ambient lattice, built once per place."""
+        phi = self._dual_maps.get(local)
+        if phi is None:
+            n = self.analysis.spec.n
+            ainv = self.analysis.spec.inverse(local.frobenius)
+            phi = self._dual_maps[local] = IntMatrix.from_rows(
+                [[local.q * int(i == j) - ainv.entries[i][j] for j in range(n)]
+                 for i in range(n)],
+                cols=n,
+            )
+        return phi
+
+    def frobenius_cycles(self, local):
+        """Cycles of the Frobenius on the distinct coweights, computed once per place."""
+        cycles = self._frobenius_cycles.get(local)
+        if cycles is None:
+            perm = self.analysis.coweights.action[local.frobenius]
+            cycles = self._frobenius_cycles[local] = tuple(_cycles(perm))
+        return cycles
 
     def frobenius_fixes(self, local, entries):
         perm = self.analysis.coweights.action[local.frobenius]
         return all(entries[perm[i]] == entries[i] for i in range(len(entries)))
 
     def _orbit_min(self, local, entries):
-        perm = self.analysis.coweights.action[local.frobenius]
         out = list(entries)
-        for cycle in _cycles(perm):
+        for cycle in self.frobenius_cycles(local):
             low = min(entries[i] for i in cycle)
             for i in cycle:
                 out[i] = low
@@ -111,12 +135,18 @@ class LocalCalculator:
     # -- counts -----------------------------------------------------------
 
     def hom_count(self, diag, local):
-        """Number of kernel points z with Fr z = z^q, by exact cokernel order."""
+        """Number of kernel points z with Fr z = z^q, by exact cokernel order.
+
+        Memoized per (kernel, place) on this calculator.
+        """
         self._check_coprime(local)
-        combined = diag.defining_rows.stack(self._dual_map(local).transpose())
-        order = finite_cokernel_order(self.analysis.spec.n, combined)
+        order = self._hom_counts.get((diag, local))
         if order is None:
-            raise AssertionError("infinite cokernel: free-part injectivity violated")
+            combined = diag.defining_rows.stack(self._dual_map(local).transpose())
+            order = finite_cokernel_order(self.analysis.spec.n, combined)
+            if order is None:
+                raise AssertionError("infinite cokernel: free-part injectivity violated")
+            self._hom_counts[diag, local] = order
         return order
 
     def hom_count_parts(self, diag, local):
@@ -249,29 +279,44 @@ class LocalCalculator:
         return total
 
     def local_factor(self, local, cap, vector_cap=DEFAULT_VECTOR_CAP):
-        """Truncated coefficient table: entry e sums pi_eq over fixed c with |c| = e."""
+        """Truncated coefficient table: entry e sums pi_eq over fixed c with |c| = e.
+
+        A fixed c is a grid point a, one entry per Frobenius cycle, with
+        |c| = sum_j a_j w_j.  pi_leq is evaluated once at every point with
+        |c| <= cap, and pi_eq is its first difference along each cycle axis in
+        turn: G(a) - G(a - e_j), or G(a) where a_j = 0.  This is the
+        inclusion-exclusion of `pi_eq` regrouped by cycle: a decrement pattern
+        b on one cycle lowers that cycle's orbit minimum by max(b), and the
+        nonzero patterns on a cycle carry signs that sum to -1, so the 2^k
+        patterns collapse to the 2^{#cycles} corners a - e_J.  The grid is
+        down-closed, so every corner is a grid point or has a negative entry.
+        """
         self.analysis._require_faithful()
         self._check_coprime(local)
-        perm = self.analysis.coweights.action[local.frobenius]
-        cycles = _cycles(perm)
-        weights = [sum(self.analysis.coweights.multiplicity[i] for i in cycle)
-                   for cycle in cycles]
-        count = 1
-        for w in weights:
-            count *= cap // w + 1
-            if count > vector_cap:
-                raise EnumerationCapError(
-                    f"enumeration too large: more than {vector_cap} conductor vectors")
-        coefficients = [0] * (cap + 1)
-        for assignment in itertools.product(*(range(cap // w + 1) for w in weights)):
-            e = sum(a * w for a, w in zip(assignment, weights))
-            if e > cap:
-                continue
-            entries = [0] * len(perm)
-            for value, cycle in zip(assignment, cycles):
+        cycles = self.frobenius_cycles(local)
+        mults = self.analysis.coweights.multiplicity
+        weights = tuple(sum(mults[i] for i in cycle) for cycle in cycles)
+        box = prod(cap // w + 1 for w in weights)
+        if box > vector_cap:
+            raise EnumerationCapError(
+                f"enumeration too large: {box} conductor vectors up to --cap {cap} "
+                f"exceed the cap of {vector_cap}")
+        points = list(_grid(weights, cap))
+        values = {}
+        for a in points:
+            entries = [0] * len(mults)
+            for value, cycle in zip(a, cycles):
                 for i in cycle:
                     entries[i] = value
-            coefficients[e] += self.pi_eq(tuple(entries), local)
+            values[a] = self._pi_leq_fixed(tuple(entries), local)
+        for j in range(len(cycles)):
+            # reverse lexicographic order reads G(a - e_j) before it is differenced
+            for a in reversed(points):
+                if a[j]:
+                    values[a] -= values[a[:j] + (a[j] - 1,) + a[j + 1:]]
+        coefficients = [0] * (cap + 1)
+        for a in points:
+            coefficients[sum(x * w for x, w in zip(a, weights))] += values[a]
         return EulerFactorTruncation(coefficients=tuple(coefficients), cap=cap)
 
 
@@ -290,3 +335,13 @@ def _cycles(perm):
             j = perm[j]
         out.append(tuple(cycle))
     return out
+
+
+def _grid(weights, budget):
+    """Points a >= 0 with sum_j a_j * weights[j] <= budget, in lexicographic order."""
+    if not weights:
+        yield ()
+        return
+    for x in range(budget // weights[0] + 1):
+        for rest in _grid(weights[1:], budget - x * weights[0]):
+            yield (x,) + rest

@@ -38,11 +38,14 @@ class TorusSpec:
             raise SpecValidationError("dim: n = 0 rejected")
         self.n = n
         self.generators = tuple(generators)
+        exponent = _finite_order_exponent(n)
         for idx, g in enumerate(self.generators):
             if g.rows != n or g.cols != n:
                 raise SchemaError(f"generators[{idx}]: expected a {n}x{n} matrix")
             if not g.is_unimodular():
                 raise SpecValidationError(f"generators[{idx}]: generator not unimodular")
+            if _matrix_power(g, exponent) != IntMatrix.identity(n):
+                raise SpecValidationError(f"generators[{idx}]: generator has infinite order")
         self.group_elements = self._closure(group_cap)
         self._index = {m.entries: i for i, m in enumerate(self.group_elements)}
         self._inverses = {}
@@ -109,6 +112,34 @@ class TorusSpec:
                 raise SchemaError(f"generator index {w} out of range")
             m = m @ self.generators[w]
         return self.element_index(m)
+
+
+def _finite_order_exponent(n):
+    """L = lcm{d : phi(d) <= n}; an element g of GL_n(Z) has finite order iff g^L = I.
+
+    A finite-order g is diagonalizable and each eigenvalue is a primitive d-th
+    root of unity of degree phi(d) <= n, so its order divides L.  Since
+    phi(d) >= sqrt(d/2), every such d is at most 2n^2.  L = 120 for n = 4.
+    """
+    bound = 2 * n * n
+    phi = list(range(bound + 1))
+    for p in range(2, bound + 1):
+        if phi[p] == p:  # p is prime
+            for k in range(p, bound + 1, p):
+                phi[k] -= phi[k] // p
+    return lcm(*(d for d in range(1, bound + 1) if phi[d] <= n))
+
+
+def _matrix_power(m, e):
+    """m^e by repeated squaring."""
+    result = IntMatrix.identity(m.rows)
+    while e:
+        if e & 1:
+            result = result @ m
+        e >>= 1
+        if e:
+            m = m @ m
+    return result
 
 
 class CoweightSystem:

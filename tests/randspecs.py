@@ -54,3 +54,21 @@ def random_faithful_spec(rng, max_n=4, max_m=8, max_group=24):
             continue
         if analysis.is_faithful():
             return analysis
+
+
+def scaled_multiplicities(analysis, rng, max_factor):
+    """The same torus with each coweight orbit's multiplicity multiplied by 1..max_factor."""
+    factor = {}
+    for i in range(len(analysis.coweights)):
+        if i not in factor:
+            f = rng.randint(1, max_factor)
+            factor.update((perm[i], f) for perm in analysis.coweights.action)
+    return load_spec({
+        "dim": analysis.spec.n,
+        "generators": [[list(row) for row in g.entries] for g in analysis.spec.generators],
+        "coweights": [
+            {"vector": list(v), "multiplicity": m * factor[i]}
+            for i, (v, m) in enumerate(zip(analysis.coweights.distinct,
+                                           analysis.coweights.multiplicity))
+        ],
+    })

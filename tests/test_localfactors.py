@@ -1,15 +1,17 @@
 import itertools
+import json
 import random
 from math import gcd
 
 import pytest
 
-from toruscount import gallery
+from toruscount import gallery, localfactors
+from toruscount.cli import main
 from toruscount.errors import EnumerationCapError, SpecValidationError
 from toruscount.localfactors import LocalCalculator, make_local_data
 from toruscount.torus import SubMultiset, load_spec
 
-from randspecs import random_faithful_spec
+from randspecs import random_faithful_spec, scaled_multiplicities
 
 
 def calc_for(doc):
@@ -219,3 +221,127 @@ def test_hom_count_matches_oracle_on_random_inputs():
         torsion, free = calc.hom_count_parts(diag, local)
         assert torsion * free == oracle
         done += 1
+
+
+def per_vector_local_factor(analysis, local, cap):
+    """Independent table: pi_eq summed over every Frobenius-fixed count vector with |c| <= cap."""
+    calc = LocalCalculator(analysis)
+    mults = analysis.coweights.multiplicity
+    coefficients = [0] * (cap + 1)
+
+    def vectors(i, budget):
+        if i == len(mults):
+            yield ()
+            return
+        for x in range(budget // mults[i] + 1):
+            for rest in vectors(i + 1, budget - x * mults[i]):
+                yield (x,) + rest
+
+    for c in vectors(0, cap):
+        if calc.frobenius_fixes(local, c):
+            coefficients[sum(x * m for x, m in zip(c, mults))] += calc.pi_eq(c, local)
+    return tuple(coefficients)
+
+
+def test_local_factor_matches_per_vector_pi_eq_on_gallery():
+    cases = 0
+    for _, doc, _ in gallery.GALLERY:
+        analysis, calc = calc_for(doc)
+        if not analysis.is_faithful():
+            continue
+        for fr in range(analysis.spec.order):
+            for q in (5, 7, 11, 13):
+                if gcd(q, calc.lambda_) != 1:
+                    continue
+                local = make_local_data(analysis, q, fr)
+                table = calc.local_factor(local, cap=7)
+                assert table.coefficients == per_vector_local_factor(analysis, local, 7)
+                cases += 1
+    assert cases > 100
+
+
+def test_local_factor_matches_per_vector_pi_eq_on_random_tori():
+    rng = random.Random(1618)
+    heavy_cycles = 0
+    for _ in range(40):
+        analysis = scaled_multiplicities(random_faithful_spec(rng, max_n=3, max_m=6), rng, 3)
+        calc = LocalCalculator(analysis)
+        qs = [q for q in (5, 7, 11, 13) if gcd(q, calc.lambda_) == 1]
+        if not qs:
+            continue
+        local = make_local_data(analysis, rng.choice(qs), rng.randrange(analysis.spec.order))
+        table = calc.local_factor(local, cap=7)
+        assert table.coefficients == per_vector_local_factor(analysis, local, 7)
+        mults = analysis.coweights.multiplicity
+        heavy_cycles += any(sum(mults[i] for i in cycle) > 1
+                            for cycle in calc.frobenius_cycles(local))
+    # most inputs have a cycle of weight above 1, so grid steps are not unit steps
+    assert heavy_cycles > 20
+
+
+def test_local_factor_computes_one_cokernel_per_level_support(monkeypatch):
+    calls = []
+    original = localfactors.finite_cokernel_order
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(localfactors, "finite_cokernel_order", counting)
+    analysis = load_spec(gallery.NORM_QUOTIENT_S4)
+    for fr in range(analysis.spec.order):
+        counts = []
+        for cap in (8, 24):
+            calls.clear()
+            calc = LocalCalculator(analysis)
+            local = make_local_data(analysis, 11, fr)
+            calc.local_factor(local, cap=cap)
+            # every level support is a union of Frobenius cycles
+            assert len(calls) <= 2 ** len(calc.frobenius_cycles(local))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+
+def test_frobenius_cycles_partition_the_coweights_once_per_place():
+    analysis, calc = calc_for(gallery.NORM_QUOTIENT_Z4)
+    local = make_local_data(analysis, 5, analysis.spec.word_to_index([0]))
+    cycles = calc.frobenius_cycles(local)
+    assert sorted(len(c) for c in cycles) == [4]
+    assert calc.frobenius_cycles(local) is cycles
+    assert sorted(i for c in cycles for i in c) == list(range(4))
+
+
+def test_conductor_vector_cap_names_size_cap_and_flag(tmp_path, capsys):
+    analysis, calc = calc_for(gallery.GL1_SQUARE_CUBE)
+    message = "16 conductor vectors up to --cap 3 exceed the cap of 3"
+    with pytest.raises(EnumerationCapError, match=message):
+        calc.local_factor(make_local_data(analysis, 7), cap=3, vector_cap=3)
+    path = tmp_path / "gl1.json"
+    path.write_text(json.dumps(gallery.GL1_STANDARD))
+    code = main(["local", "--input", str(path), "--q", "5", "--cap", "2000000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "2000001 conductor vectors up to --cap 2000000 exceed the cap of 1000000" in err
+
+
+def test_infinite_order_generator_is_rejected_before_the_closure(tmp_path, capsys):
+    doc = {"dim": 2, "generators": [[[0, 1], [1, 0]], [[1, 1], [0, 1]]],
+           "coweights": [{"vector": [1, 0]}, {"vector": [0, 1]}]}
+    message = r"^generators\[1\]: generator has infinite order$"
+    with pytest.raises(SpecValidationError, match=message):
+        load_spec(doc)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code = main(["analyze", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "validation error: generators[1]: generator has infinite order\n"
+    # hyperbolic: its powers grow without bound
+    hyperbolic = dict(doc, generators=[[[2, 1], [1, 1]]])
+    with pytest.raises(SpecValidationError, match="infinite order"):
+        load_spec(hyperbolic)
+    # order 6 = the largest in GL_2(Z)
+    order_six = dict(doc, generators=[[[1, -1], [1, 0]]],
+                     coweights=[{"vector": v} for v in ([1, 0], [1, 1], [0, 1],
+                                                       [-1, 0], [-1, -1], [0, -1])])
+    assert load_spec(order_six).spec.order == 6

@@ -8,7 +8,7 @@ from toruscount import gallery
 from toruscount.errors import NotFaithfulError, SchemaError, SpecValidationError
 from toruscount.torus import SubMultiset, load_spec
 
-from randspecs import random_faithful_spec
+from randspecs import random_faithful_spec, scaled_multiplicities
 
 
 def test_load_gl1_trivial_group():
@@ -192,28 +192,10 @@ def _brute_force(analysis):
     return best, witness, ramified, archimedean, lam
 
 
-def _scaled_multiplicities(analysis, rng):
-    """The same torus with each coweight orbit's multiplicity multiplied by 1-4."""
-    factor = {}
-    for i in range(len(analysis.coweights)):
-        if i not in factor:
-            f = rng.randint(1, 4)
-            factor.update((perm[i], f) for perm in analysis.coweights.action)
-    return load_spec({
-        "dim": analysis.spec.n,
-        "generators": [[list(row) for row in g.entries] for g in analysis.spec.generators],
-        "coweights": [
-            {"vector": list(v), "multiplicity": m * factor[i]}
-            for i, (v, m) in enumerate(zip(analysis.coweights.distinct,
-                                           analysis.coweights.multiplicity))
-        ],
-    })
-
-
 def test_all_or_nothing_invariants_match_every_count_vector():
     rng = random.Random(4321)
     analyses = [load_spec(doc) for _, doc, _ in gallery.GALLERY]
-    analyses += [_scaled_multiplicities(random_faithful_spec(rng), rng) for _ in range(40)]
+    analyses += [scaled_multiplicities(random_faithful_spec(rng), rng, 4) for _ in range(40)]
     for analysis in analyses:
         value, witness, ramified, archimedean, lam = _brute_force(analysis)
         assert analysis.invariant_A() == (value, witness)
