@@ -6,7 +6,10 @@ points of a torus with n1 split, n2 compact, and n3 complex coordinate
 factors: m1 and m2 rows of weights fixed by conjugation (plain and
 sign-twisted), and m3 rows in swapped pairs, recorded as integer pairs
 (b, b').  Every pair row must be genuinely non-fixed: some compact-factor
-entry nonzero or some b different from b'.
+entry nonzero or some b different from b'.  The combined matrix M' has
+m1+m2+2*m3 rows and n1+n2+2*n3 columns, so block data with more columns than
+rows is rejected before assembly; every best-ratio search is bounded by
+``matroid.BEST_RATIO_ROW_CAP`` rows.
 """
 
 from __future__ import annotations
@@ -81,6 +84,12 @@ class ArchBlocks:
         b3 = tuple(tuple((p[0], p[1]) for p in row) for row in raw_b3)
         blocks = ArchBlocks(n1, n2, n3, m1, m2, m3, a1, a2, a3, c, b1, b2, b3)
         blocks.validate()
+        # The blocks are no larger than the document, but assembly allocates
+        # zero blocks of m1 x n2 and m2 x n2, which it does not bound.
+        if n1 + n2 + 2 * n3 > m1 + m2 + 2 * m3:
+            raise ValueError(
+                f"dimension mismatch: M' has n1+n2+2*n3 = {n1 + n2 + 2 * n3} columns but "
+                f"only m1+m2+2*m3 = {m1 + m2 + 2 * m3} rows, so it cannot have full rank")
         return blocks
 
     def validate(self):

@@ -9,7 +9,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .archim import ArchBlocks, arch_abscissa, assemble, check_domination
+from .archim import ArchBlocks, arch_abscissa, assemble
 from .errors import (
     EnumerationCapError,
     LatticeNotPreservedError,
@@ -120,11 +120,13 @@ def build_report(analysis, document=None):
     blocks_doc = (document or {}).get("archimedean")
     if blocks_doc is not None:
         mats = assemble(ArchBlocks.from_dict(blocks_doc))
+        # each number is computed once; `dominated` is check_domination's comparison
         combined, _ = b_infinity(LinearMatroid(mats.M_prime.entries))
+        bound = arch_abscissa(mats)
         report["archimedean_blocks"] = {
-            "abscissa": format_rational(arch_abscissa(mats)),
+            "abscissa": format_rational(bound),
             "combined_optimum": format_rational(combined),
-            "dominated": check_domination(mats),
+            "dominated": bound <= combined,
         }
     return report
 

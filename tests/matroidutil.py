@@ -1,8 +1,9 @@
 """Matroid utilities that only the tests use: an abstract matroid given by a
-rank function, an exhaustive bias test, and an exhaustive matroid
-intersection."""
+rank function, the exhaustive best-ratio search over all subsets, an
+exhaustive bias test, and an exhaustive matroid intersection."""
 
 import itertools
+from fractions import Fraction
 
 
 class RankOracleMatroid:
@@ -18,6 +19,37 @@ class RankOracleMatroid:
         if key not in self._rank_cache:
             self._rank_cache[key] = self._fn(key)
         return self._rank_cache[key]
+
+    def flats(self):
+        """Every closed subset as (bitmask, rank), found through the rank function."""
+        universe = range(self.size)
+        for r in range(self.size + 1):
+            for subset in itertools.combinations(universe, r):
+                rank = self.rank(subset)
+                if all(self.rank(subset + (i,)) > rank for i in universe if i not in subset):
+                    yield sum(1 << i for i in subset), rank
+
+
+def best_ratio_oracle(matroid, weights):
+    """Largest (r(N) - r(N \\ A)) / sum(weights[i] for i in A) over nonempty A.
+
+    Subsets are searched by size, then lexicographically, and only a strictly
+    larger ratio replaces the best, so the witness (A, rank drop) is the first
+    maximizer in that order.  An empty ground set gives (None, None).
+    """
+    universe = tuple(range(matroid.size))
+    total = matroid.rank(universe)
+    best = None
+    witness = None
+    for size in range(1, len(universe) + 1):
+        for subset in itertools.combinations(universe, size):
+            rest = tuple(i for i in universe if i not in subset)
+            beta = total - matroid.rank(rest)
+            ratio = Fraction(beta, sum(weights[i] for i in subset))
+            if best is None or ratio > best:
+                best = ratio
+                witness = (subset, beta)
+    return best, witness
 
 
 def is_biased(matroid, alpha, beta):

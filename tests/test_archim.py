@@ -3,9 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from toruscount import archim, matroid
 from toruscount.archim import ArchBlocks, arch_abscissa, assemble, check_domination
+from toruscount.cli import build_report
+from toruscount.gallery import GL1_STANDARD
 from toruscount.intlinalg import IntMatrix
-from toruscount.matroid import LinearMatroid
+from toruscount.matroid import LinearMatroid, _best_ratio
+from toruscount.torus import load_spec
+
+from matroidutil import best_ratio_oracle
 
 
 def blocks_from(**kw):
@@ -104,6 +110,44 @@ def test_domination_on_random_blocks():
     for _ in range(40):
         mats = random_blocks(rng)
         assert check_domination(mats)
+
+
+def test_best_ratio_matches_subset_scan_on_random_blocks():
+    rng = random.Random(4711)
+    for _ in range(40):
+        mats = random_blocks(rng)
+        split = mats.m1 + mats.m2
+        for matrix, weights in (
+                (mats.M_re, [1 if i < split else 2 for i in range(mats.M_re.rows)]),
+                (mats.M_int, [1] * mats.M_int.rows),
+                (mats.M_prime, [1] * mats.M_prime.rows)):
+            if matrix.rows:
+                assert (_best_ratio(LinearMatroid(matrix.entries), weights)
+                        == best_ratio_oracle(LinearMatroid(matrix.entries), weights))
+
+
+def test_m_prime_with_more_columns_than_rows_is_rejected_before_assembly():
+    with pytest.raises(ValueError, match=r"n1\+n2\+2\*n3 = 1000000001.*m1\+m2\+2\*m3 = 1"):
+        blocks_from(n1=1, n2=10**9, m1=1, A1=[[1]], B1=[[]])
+
+
+def test_report_searches_each_matrix_once(monkeypatch):
+    # M', M_re and M_int once each; check_domination is not run a second time
+    searched = []
+
+    def counting(matroid_, weights):
+        searched.append(matroid_.ground)
+        return _best_ratio(matroid_, weights)
+
+    monkeypatch.setattr(matroid, "_best_ratio", counting)
+    monkeypatch.setattr(archim, "_best_ratio", counting)
+    doc = dict(GL1_STANDARD, archimedean={
+        "n1": 1, "n2": 1, "n3": 0, "m1": 1, "m2": 0, "m3": 1,
+        "A1": [[1]], "A3": [[1]], "C": [[1]], "B1": [[]], "B3": [[]]})
+    blocks = build_report(load_spec(doc), doc)["archimedean_blocks"]
+    assert len(searched) == 3 and len(set(searched)) == 3
+    mats = assemble(ArchBlocks.from_dict(doc["archimedean"]))
+    assert blocks["dominated"] == check_domination(mats)
 
 
 def test_row_subsets_match_kernel_data_for_split_gl1():

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 from toruscount import gallery
 from toruscount.cli import build_report, main, run_gallery
@@ -135,6 +136,13 @@ def test_binf_rejects_rank_deficient(tmp_path, capsys):
     assert "not full rank" in err
 
 
+def test_binf_row_cap_exit_2(tmp_path, capsys):
+    path = write_json(tmp_path, "matrix.json", [[1, k] for k in range(17)])
+    code, out, err = run_cli(capsys, "binf", path)
+    assert code == 2 and out == ""
+    assert err == "validation error: best-ratio search too large: 17 rows exceed the cap of 16\n"
+
+
 def test_examples_command_passes(capsys):
     code, out, _ = run_cli(capsys, "examples")
     assert code == 0
@@ -208,6 +216,20 @@ def test_analyze_with_bad_archimedean_blocks_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", "--input", path)
     assert code == 2
     assert "dimension mismatch" in err
+
+
+def test_analyze_impossible_m_prime_exits_2_before_assembly(tmp_path, capsys):
+    doc = dict(gallery.GL1_STANDARD)
+    doc["archimedean"] = {
+        "n1": 1, "n2": 10**9, "n3": 0, "m1": 1, "m2": 0, "m3": 0,
+        "A1": [[1]], "A2": [], "A3": [], "C": [], "B1": [[]], "B2": [], "B3": [],
+    }
+    path = write_json(tmp_path, "spec.json", doc)
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "analyze", "--input", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "n1+n2+2*n3 = 1000000001" in err and "m1+m2+2*m3 = 1" in err
 
 
 def test_analyze_malformed_archimedean_block_exit_1(tmp_path, capsys):

@@ -5,13 +5,15 @@ import pytest
 
 from toruscount.errors import EnumerationCapError
 from toruscount.matroid import (
+    BEST_RATIO_ROW_CAP,
     LinearMatroid,
+    _best_ratio,
     b_infinity,
     b_infinity_oracle,
     bases,
 )
 
-from matroidutil import RankOracleMatroid, is_biased, max_common_independent
+from matroidutil import RankOracleMatroid, best_ratio_oracle, is_biased, max_common_independent
 
 
 def test_rank_examples():
@@ -168,3 +170,81 @@ def test_matroid_intersection_minmax_on_random_pairs():
             for a in itertools.combinations(universe, r)
         )
         assert lhs == rhs
+
+
+def random_ratio_instance(rng, max_rows=12):
+    """Rows (1..max_rows of 1-5 columns, with zero, parallel and low-rank rows)
+    and weights 1-3."""
+    size = rng.randrange(1, max_rows + 1)
+    cols = rng.randrange(1, 6)
+    basis = [[rng.randrange(-3, 4) for _ in range(cols)]
+             for _ in range(rng.randrange(1, cols + 1))]
+    low_rank = rng.random() < 0.4
+    rows = []
+    for _ in range(size):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([0] * cols)
+        elif kind < 0.35 and rows:
+            scale = rng.choice((-2, -1, Fraction(1, 2), 2))
+            rows.append([scale * x for x in rng.choice(rows)])
+        elif low_rank:
+            rows.append([sum(rng.randrange(-2, 3) * b[j] for b in basis) for j in range(cols)])
+        else:
+            rows.append([Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3)))
+                         for _ in range(cols)])
+    return rows, [rng.randrange(1, 4) for _ in range(size)]
+
+
+def test_best_ratio_matches_subset_scan_on_random_instances():
+    rng = random.Random(2718)
+    for _ in range(100):
+        rows, weights = random_ratio_instance(rng)
+        got = _best_ratio(LinearMatroid(rows), weights)
+        assert got == best_ratio_oracle(LinearMatroid(rows), weights), (rows, weights)
+        assert type(got[0]) is Fraction
+
+
+def test_best_ratio_of_rank_zero_matroid():
+    assert _best_ratio(LinearMatroid([(0, 0), (0, 0)]), [2, 1]) == (0, ((0,), 0))
+
+
+def test_flats_match_closed_subsets():
+    rng = random.Random(1618)
+    for _ in range(60):
+        rows, _ = random_ratio_instance(rng, max_rows=8)
+        m = LinearMatroid(rows)
+        got = list(m.flats())
+        assert len(got) == len(set(got))
+        assert sorted(got) == sorted(RankOracleMatroid(m.size, m.rank).flats())
+
+
+def test_flat_count_of_rank_two_general_position():
+    # cl(empty), the 12 points and the whole set
+    m = LinearMatroid([(1, k) for k in range(11)] + [(0, 1)])
+    assert sum(1 for _ in m.flats()) == 14
+
+
+def test_best_ratio_ranks_only_the_ground_set():
+    class Counting(LinearMatroid):
+        calls = 0
+
+        def rank(self, indices):
+            Counting.calls += 1
+            return super().rank(indices)
+
+    rng = random.Random(5)
+    m = Counting([[rng.randrange(-4, 5) for _ in range(3)] for _ in range(12)])
+    assert _best_ratio(m, [1] * 12) == best_ratio_oracle(LinearMatroid(m.ground), [1] * 12)
+    # the flat search and _best_ratio each ask once for r(N); the subset scan
+    # asked 2^12 times
+    assert Counting.calls == 2
+
+
+def test_best_ratio_row_cap():
+    rows = [(1, k) for k in range(BEST_RATIO_ROW_CAP + 1)]
+    with pytest.raises(EnumerationCapError,
+                       match=f"{BEST_RATIO_ROW_CAP + 1} rows exceed the cap of "
+                             f"{BEST_RATIO_ROW_CAP}"):
+        b_infinity(LinearMatroid(rows))
+    assert b_infinity(LinearMatroid(rows[:-1]))[0] == Fraction(2, BEST_RATIO_ROW_CAP)
