@@ -31,18 +31,12 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows, cols=None):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
-        if rows:
-            ncols = len(rows[0])
-            if any(len(row) != ncols for row in rows):
-                raise ValueError("ragged rows")
-        else:
-            if cols is None:
+        rows = tuple(map(tuple, rows))
+        if cols is None:
+            if not rows:
                 raise ValueError("empty matrix needs an explicit column count")
-            ncols = cols
-        if cols is not None and rows and ncols != cols:
-            raise ValueError("column count mismatch")
-        return IntMatrix(len(rows), ncols, rows)
+            cols = len(rows[0])
+        return IntMatrix(len(rows), cols, rows)
 
     @staticmethod
     def identity(n):

@@ -11,10 +11,10 @@ cokernel orders, with brute-force enumeration as the independent oracle.
 A Frobenius-fixed conductor vector is constant on each cycle of the Frobenius
 on the distinct coweights, so the truncated Euler factor lives on a grid with
 one entry a_j per cycle and weight sum_j a_j w_j, w_j the cycle's total
-multiplicity.  `local_factor` evaluates the bounded count pi_leq once per grid
-point and takes its first difference along every cycle axis in turn; each
-hom_count is an exact cokernel order, computed once per kernel and place.
-The 2^k-term inclusion-exclusion of `pi_eq` stays as the oracle.
+multiplicity.  `local_factor` sums pi_leq over the grid as a series in x^{a.w}
+and multiplies it by prod_j (1 - x^{w_j}); pi_leq visits only the distinct
+entry values, and each hom_count is an exact cokernel order, computed once per
+kernel and place.  The 2^k-term inclusion-exclusion of `pi_eq` stays as the oracle.
 """
 
 from __future__ import annotations
@@ -241,16 +241,20 @@ class LocalCalculator:
         return self._pi_leq_fixed(entries, local)
 
     def _pi_leq_fixed(self, entries, local):
+        """hom(D_0) * prod_{k >= 1} p^{dim D_k}, D_k the kernel of the entries <= k;
+        D_k changes only at the distinct entry values, and every factor after the
+        first zero-dimensional D_k is 1."""
         if any(x < 0 for x in entries):
             return 0
-        result = self.hom_count(self._diag_at_level(entries, 0), local)
-        k = 1
-        while True:
-            diag = self._diag_at_level(entries, k)
-            if diag.is_trivial:
+        diag = self._diag_at_level(entries, 0)
+        result = self.hom_count(diag, local)
+        level = 0
+        for value in sorted(set(entries) - {0}):
+            if diag.dimension == 0:
                 break
-            result *= local.p ** diag.dimension
-            k += 1
+            result *= local.p ** (diag.dimension * (value - max(level, 1)))
+            level = value
+            diag = self._diag_at_level(entries, value)
         return result
 
     def _pi_leq_reduced(self, entries, local):
@@ -282,14 +286,12 @@ class LocalCalculator:
         """Truncated coefficient table: entry e sums pi_eq over fixed c with |c| = e.
 
         A fixed c is a grid point a, one entry per Frobenius cycle, with
-        |c| = sum_j a_j w_j.  pi_leq is evaluated once at every point with
-        |c| <= cap, and pi_eq is its first difference along each cycle axis in
-        turn: G(a) - G(a - e_j), or G(a) where a_j = 0.  This is the
-        inclusion-exclusion of `pi_eq` regrouped by cycle: a decrement pattern
-        b on one cycle lowers that cycle's orbit minimum by max(b), and the
-        nonzero patterns on a cycle carry signs that sum to -1, so the 2^k
-        patterns collapse to the 2^{#cycles} corners a - e_J.  The grid is
-        down-closed, so every corner is a grid point or has a negative entry.
+        |c| = sum_j a_j w_j.  Regrouped by cycle, the inclusion-exclusion of
+        `pi_eq` runs over the corners a - e_J: a decrement pattern on one cycle
+        lowers that cycle's orbit minimum by one, and the nonzero patterns on
+        a cycle carry signs that sum to -1.  So pi_eq(a) is
+        sum_J (-1)^{|J|} pi_leq(a - e_J), and the table is the series
+        sum_a pi_leq(a) x^{a.w} times prod_j (1 - x^{w_j}), truncated at the cap.
         """
         self.analysis._require_faithful()
         self._check_coprime(local)
@@ -301,22 +303,17 @@ class LocalCalculator:
             raise EnumerationCapError(
                 f"enumeration too large: {box} conductor vectors up to --cap {cap} "
                 f"exceed the cap of {vector_cap}")
-        points = list(_grid(weights, cap))
-        values = {}
-        for a in points:
-            entries = [0] * len(mults)
+        coefficients = [0] * (cap + 1)
+        entries = [0] * len(mults)
+        for a in _grid(weights, cap):
             for value, cycle in zip(a, cycles):
                 for i in cycle:
                     entries[i] = value
-            values[a] = self._pi_leq_fixed(tuple(entries), local)
-        for j in range(len(cycles)):
-            # reverse lexicographic order reads G(a - e_j) before it is differenced
-            for a in reversed(points):
-                if a[j]:
-                    values[a] -= values[a[:j] + (a[j] - 1,) + a[j + 1:]]
-        coefficients = [0] * (cap + 1)
-        for a in points:
-            coefficients[sum(x * w for x, w in zip(a, weights))] += values[a]
+            coefficients[sum(x * w for x, w in zip(a, weights))] += self._pi_leq_fixed(
+                tuple(entries), local)
+        for w in weights:
+            for e in range(cap, w - 1, -1):
+                coefficients[e] -= coefficients[e - w]
         return EulerFactorTruncation(coefficients=tuple(coefficients), cap=cap)
 
 

@@ -21,13 +21,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
-from .errors import NotFaithfulError, SchemaError, SpecValidationError
+from .errors import EnumerationCapError, NotFaithfulError, SchemaError, SpecValidationError
 from .intlinalg import FinAbGroup, IntMatrix, LatticeQuotient, unimodular_inverse
 
 DEFAULT_GROUP_CAP = 10**4
 DEFAULT_DISTINCT_CAP = 20
+# count vectors the sigma filter may visit: 20 distinct coweights of multiplicity 1
+SUBSET_CAP = 2**DEFAULT_DISTINCT_CAP
 
 
 class TorusSpec:
@@ -38,7 +40,7 @@ class TorusSpec:
             raise SpecValidationError("dim: n = 0 rejected")
         self.n = n
         self.generators = tuple(generators)
-        exponent = _finite_order_exponent(n)
+        exponent = _finite_order_exponent(n) if self.generators else None
         for idx, g in enumerate(self.generators):
             if g.rows != n or g.cols != n:
                 raise SchemaError(f"generators[{idx}]: expected a {n}x{n} matrix")
@@ -281,6 +283,11 @@ class TorusAnalysis:
     def sigma_set(self):
         """All nonempty sub-multisets attaining the exponent, trivial kernels included."""
         if self._sigma is None:
+            count = prod(m + 1 for m in self.coweights.multiplicity)
+            if count > SUBSET_CAP:
+                raise EnumerationCapError(
+                    f"enumeration too large: {count} sub-multisets exceed the cap of "
+                    f"{SUBSET_CAP}")
             value, _ = self.invariant_A()
             self._sigma = tuple(
                 s for s in self.subsets()

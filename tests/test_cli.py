@@ -2,8 +2,11 @@ import io
 import json
 import time
 
+import pytest
+
 from toruscount import gallery
 from toruscount.cli import build_report, main, run_gallery
+from toruscount.errors import EnumerationCapError
 from toruscount.torus import TorusAnalysis, load_spec
 
 
@@ -308,3 +311,26 @@ def test_build_report_makes_one_count_vector_pass(monkeypatch):
     monkeypatch.setattr(TorusAnalysis, "subsets", counted)
     build_report(load_spec(gallery.GL1_SQUARE_CUBE), gallery.GL1_SQUARE_CUBE)
     assert len(passes) == 1
+
+
+def test_huge_multiplicity_exits_2_naming_count_and_cap(tmp_path, capsys):
+    doc = {"dim": 1, "coweights": [{"vector": [1], "multiplicity": 10**30}]}
+    path = write_json(tmp_path, "spec.json", doc)
+    message = (f"validation error: enumeration too large: {10**30 + 1} sub-multisets "
+               f"exceed the cap of {2**20}\n")
+    for argv in (["analyze"], ["local", "--q", "5"]):
+        code, out, err = run_cli(capsys, *argv, "--input", path)
+        assert (code, out, err) == (2, "", message)
+
+
+def test_sigma_cap_is_checked_before_the_count_vector_pass(monkeypatch):
+    passes = []
+    monkeypatch.setattr(TorusAnalysis, "subsets", lambda self: passes.append(self) or iter(()))
+    doc = {"dim": 1, "coweights": [{"vector": [1], "multiplicity": 2**20}]}
+    with pytest.raises(EnumerationCapError, match=f"{2**20 + 1} sub-multisets"):
+        build_report(load_spec(doc), doc)
+    assert passes == []
+    # 2^20 count vectors, as many as 20 distinct coweights of multiplicity 1 give
+    at_cap = load_spec({"dim": 1, "coweights": [{"vector": [1], "multiplicity": 2**20 - 1}]})
+    assert at_cap.sigma_set() == ()
+    assert passes == [at_cap]

@@ -36,6 +36,17 @@ def check_snf(m):
     return snf
 
 
+def test_from_rows_rejects_ragged_rows_and_column_mismatch():
+    for rows, cols in (([[1, 2], [3]], None), ([[1], [2, 3]], None), ([[1, 2]], 3),
+                       ([[1, 2], [3, 4]], 1)):
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows(rows, cols=cols)
+    with pytest.raises(ValueError, match="explicit column count"):
+        IntMatrix.from_rows([])
+    assert IntMatrix.from_rows([], cols=2) == IntMatrix.zeros(0, 2)
+    assert IntMatrix.from_rows(iter([[1, 2], [3, 4]]), cols=2).entries == ((1, 2), (3, 4))
+
+
 def test_snf_identity():
     m = IntMatrix.identity(2)
     snf = check_snf(m)

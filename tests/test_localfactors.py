@@ -223,11 +223,9 @@ def test_hom_count_matches_oracle_on_random_inputs():
         done += 1
 
 
-def per_vector_local_factor(analysis, local, cap):
-    """Independent table: pi_eq summed over every Frobenius-fixed count vector with |c| <= cap."""
-    calc = LocalCalculator(analysis)
-    mults = analysis.coweights.multiplicity
-    coefficients = [0] * (cap + 1)
+def fixed_vectors(calc, local, cap):
+    """Every Frobenius-fixed count vector c with |c| = sum_i c_i m_i <= cap."""
+    mults = calc.analysis.coweights.multiplicity
 
     def vectors(i, budget):
         if i == len(mults):
@@ -237,27 +235,90 @@ def per_vector_local_factor(analysis, local, cap):
             for rest in vectors(i + 1, budget - x * mults[i]):
                 yield (x,) + rest
 
-    for c in vectors(0, cap):
-        if calc.frobenius_fixes(local, c):
-            coefficients[sum(x * m for x, m in zip(c, mults))] += calc.pi_eq(c, local)
+    return (c for c in vectors(0, cap) if calc.frobenius_fixes(local, c))
+
+
+def per_vector_local_factor(analysis, local, cap):
+    """Independent table: pi_eq summed over every Frobenius-fixed count vector with |c| <= cap."""
+    calc = LocalCalculator(analysis)
+    mults = analysis.coweights.multiplicity
+    coefficients = [0] * (cap + 1)
+    for c in fixed_vectors(calc, local, cap):
+        coefficients[sum(x * m for x, m in zip(c, mults))] += calc.pi_eq(c, local)
     return tuple(coefficients)
 
 
-def test_local_factor_matches_per_vector_pi_eq_on_gallery():
-    cases = 0
-    for _, doc, _ in gallery.GALLERY:
+def pi_leq_by_levels(calc, entries, local):
+    """Reference pi_leq: hom(D_0) times p^{dim D_k} for each level k = 1, 2, ... in turn."""
+    if any(x < 0 for x in entries):
+        return 0
+    result = calc.hom_count(calc._diag_at_level(entries, 0), local)
+    k = 1
+    while True:
+        diag = calc._diag_at_level(entries, k)
+        if diag.is_trivial:
+            break
+        result *= local.p ** diag.dimension
+        k += 1
+    return result
+
+
+def gallery_places():
+    """(name, analysis, calculator, place) for every faithful gallery torus, Frobenius and q."""
+    for name, doc, _ in gallery.GALLERY:
         analysis, calc = calc_for(doc)
         if not analysis.is_faithful():
             continue
         for fr in range(analysis.spec.order):
             for q in (5, 7, 11, 13):
-                if gcd(q, calc.lambda_) != 1:
-                    continue
-                local = make_local_data(analysis, q, fr)
-                table = calc.local_factor(local, cap=7)
-                assert table.coefficients == per_vector_local_factor(analysis, local, 7)
-                cases += 1
+                if gcd(q, calc.lambda_) == 1:
+                    yield name, analysis, calc, make_local_data(analysis, q, fr)
+
+
+def test_local_factor_matches_per_vector_pi_eq_on_gallery():
+    deep_caps = {"gl1-square-cube": (30,), "gm-times-gm": (20,)}
+    cases = 0
+    for name, analysis, calc, local in gallery_places():
+        for cap in (7,) + deep_caps.get(name, ()):
+            table = calc.local_factor(local, cap=cap)
+            assert table.coefficients == per_vector_local_factor(analysis, local, cap)
+        cases += 1
     assert cases > 100
+
+
+def test_pi_leq_matches_the_per_level_walk():
+    places = [(calc, local) for _, _, calc, local in gallery_places()]
+    rng = random.Random(3141)
+    wanted = len(places) + 30
+    while len(places) < wanted:
+        analysis = scaled_multiplicities(random_faithful_spec(rng, max_n=3, max_m=6), rng, 3)
+        calc = LocalCalculator(analysis)
+        qs = [q for q in (5, 7, 11, 13) if gcd(q, calc.lambda_) == 1]
+        if qs:
+            places.append((calc, make_local_data(
+                analysis, rng.choice(qs), rng.randrange(analysis.spec.order))))
+    for calc, local in places:
+        for c in fixed_vectors(calc, local, 10):
+            assert calc.pi_leq(c, local) == pi_leq_by_levels(calc, c, local)
+
+
+def test_pi_leq_looks_up_one_kernel_per_distinct_entry(monkeypatch):
+    levels = []
+    lookup = LocalCalculator._diag_at_level
+
+    def counted(self, entries, level):
+        levels.append(level)
+        return lookup(self, entries, level)
+
+    monkeypatch.setattr(LocalCalculator, "_diag_at_level", counted)
+    analysis, calc = calc_for(gallery.GL1_STANDARD)
+    assert calc.pi_leq((1000,), make_local_data(analysis, 5)) == 4 * 5**999
+    assert len(levels) <= 2
+    # the level-1 kernel is mu_2, of dimension 0, so the entry 5 needs no lookup
+    levels.clear()
+    analysis, calc = calc_for(gallery.GL1_SQUARE_CUBE)
+    assert calc.pi_leq((1, 5), make_local_data(analysis, 7)) == 6
+    assert levels == [0, 1]
 
 
 def test_local_factor_matches_per_vector_pi_eq_on_random_tori():

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from toruscount import gallery
+from toruscount import gallery, torus
 from toruscount.errors import NotFaithfulError, SchemaError, SpecValidationError
 from toruscount.torus import SubMultiset, load_spec
 
@@ -203,3 +203,14 @@ def test_all_or_nothing_invariants_match_every_count_vector():
         assert analysis.lambda_invariant() == lam
     # most inputs have count vectors that are not all-or-nothing
     assert sum(max(a.coweights.multiplicity) > 1 for a in analyses) > len(analyses) // 2
+
+
+def test_generator_free_spec_skips_the_finite_order_sieve(monkeypatch):
+    def refused(n):
+        raise AssertionError("finite-order sieve run without generators")
+
+    monkeypatch.setattr(torus, "_finite_order_exponent", refused)
+    doc = {"dim": 3, "coweights": [{"vector": v} for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]}
+    assert load_spec(doc).spec.order == 1
+    with pytest.raises(AssertionError, match="sieve"):
+        load_spec(dict(doc, generators=[[[0, 1, 0], [1, 0, 0], [0, 0, 1]]]))
