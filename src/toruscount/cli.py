@@ -166,6 +166,19 @@ def cmd_analyze(args, out):
     return 0
 
 
+def _check_printable(table):
+    """Refuse a coefficient beyond Python's int-to-str digit limit before any output."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    bound = 10**limit
+    for e, c in enumerate(table.coefficients):
+        if abs(c) >= bound:
+            raise EnumerationCapError(
+                f"coefficient too large: e={e} has more than {limit} digits, Python's "
+                f"int-to-str limit; lower --cap (got {table.cap})")
+
+
 def cmd_local(args, out):
     if args.cap < 0:
         raise SpecValidationError(f"--cap: must be >= 0, got {args.cap}")
@@ -181,6 +194,7 @@ def cmd_local(args, out):
     frobenius = _word_index(analysis, word, "--frobenius")
     local = make_local_data(analysis, args.q, frobenius)
     table = calc.local_factor(local, cap=args.cap)
+    _check_printable(table)
     diagnostics = []
     mults = analysis.coweights.multiplicity
     for s in analysis.sigma_set():

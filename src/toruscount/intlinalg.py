@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import EnumerationCapError, LatticeNotPreservedError
 
@@ -55,7 +56,7 @@ class IntMatrix:
             raise ValueError("dimension mismatch in product")
         ot = tuple(zip(*other.entries)) if other.entries else ()
         data = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
+            tuple(sum(map(mul, row, col)) for col in ot)
             for row in self.entries
         )
         if self.cols == 0:
@@ -66,7 +67,7 @@ class IntMatrix:
         """Matrix times column vector, returned as a tuple."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.entries)
+        return tuple(sum(map(mul, row, vec)) for row in self.entries)
 
     def transpose(self):
         data = tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.cols))

@@ -14,6 +14,13 @@ sharing T it is the smallest and componentwise, hence lexicographically, first,
 so it maximizes (dim + 1)/|S| and dim/|S| and is the lex-first maximizer that
 the A witness tie-break asks for.  The attaining set sigma lists every count
 vector that attains A, so it still filters all of them, once per analysis.
+
+G permutes the coweights, and g carries the rows of a support T onto those of
+gT, so D(gT) is isomorphic to D(T).  The invariants read the kernels only
+through their dimension and component group, so one Smith normal form serves a
+whole G-orbit of supports; a lattice quotient for another member is built only
+when its coordinates are needed.  The permutation of every group element comes
+from its parent in the closure's Schreier tree, one generator step away.
 """
 
 from __future__ import annotations
@@ -48,29 +55,36 @@ class TorusSpec:
                 raise SpecValidationError(f"generators[{idx}]: generator not unimodular")
             if _matrix_power(g, exponent) != IntMatrix.identity(n):
                 raise SpecValidationError(f"generators[{idx}]: generator has infinite order")
-        self.group_elements = self._closure(group_cap)
-        self._index = {m.entries: i for i, m in enumerate(self.group_elements)}
+        self.group_elements, self._index, self.schreier_tree = self._closure(group_cap)
         self._inverses = {}
 
     def _closure(self, cap):
+        """Breadth-first closure under right multiplication by the generators.
+
+        Returns the elements, their index by entries, and the Schreier tree:
+        for each element after the identity a pair (parent, k) with
+        element = elements[parent] @ generators[k].
+        """
         ident = IntMatrix.identity(self.n)
         elements = [ident]
-        seen = {ident.entries}
-        frontier = [ident]
+        index = {ident.entries: 0}
+        tree = [None]
+        frontier = [0]
         while frontier:
             nxt = []
-            for e in frontier:
-                for g in self.generators:
-                    prod = e @ g
-                    if prod.entries not in seen:
-                        seen.add(prod.entries)
+            for parent in frontier:
+                for k, g in enumerate(self.generators):
+                    prod = elements[parent] @ g
+                    if prod.entries not in index:
+                        index[prod.entries] = len(elements)
+                        nxt.append(len(elements))
                         elements.append(prod)
-                        nxt.append(prod)
+                        tree.append((parent, k))
                         if len(elements) > cap:
                             raise SpecValidationError(
                                 f"generators: group closure cap exceeded ({cap})")
             frontier = nxt
-        return tuple(elements)
+        return tuple(elements), index, tuple(tree)
 
     @property
     def order(self):
@@ -145,7 +159,13 @@ def _matrix_power(m, e):
 
 
 class CoweightSystem:
-    """Distinct coweights with multiplicities and the induced index permutations."""
+    """Distinct coweights with multiplicities and the induced index permutations.
+
+    Galois-stability is checked on the generators, which suffices for the group
+    they generate.  Each element's permutation then follows its Schreier-tree
+    parent's: element = parent @ generators[k] sends v_j to
+    v_{action[parent][perm_k[j]]}.
+    """
 
     def __init__(self, spec, distinct, multiplicity):
         self.distinct = tuple(tuple(v) for v in distinct)
@@ -156,8 +176,8 @@ class CoweightSystem:
             if v in lookup:
                 raise SpecValidationError(f"coweights[{i}]: duplicate coweight {list(v)}")
             lookup[v] = i
-        action = []
-        for gi, g in enumerate(spec.group_elements):
+        generator_perms = []
+        for k, g in enumerate(spec.generators):
             perm = []
             for i, v in enumerate(self.distinct):
                 image = g.apply(v)
@@ -165,9 +185,13 @@ class CoweightSystem:
                 if j is None or self.multiplicity[j] != self.multiplicity[i]:
                     raise SpecValidationError(
                         "coweights: coweight multiset not Galois-stable "
-                        f"(element {gi} moves {list(v)} to {list(image)})")
+                        f"(generators[{k}] moves {list(v)} to {list(image)})")
                 perm.append(j)
-            action.append(tuple(perm))
+            generator_perms.append(perm)
+        action = [tuple(range(len(self.distinct)))]
+        for parent, k in spec.schreier_tree[1:]:
+            up = action[parent]
+            action.append(tuple(up[j] for j in generator_perms[k]))
         self.action = tuple(action)
 
     def __len__(self):
@@ -185,24 +209,26 @@ class SubMultiset:
         return sum(self.counts)
 
 
-@dataclass(frozen=True, eq=False)
 class DiagGroup:
-    """Kernel subgroup cut out by the complement coweights, as lattice data."""
+    """Kernel subgroup cut out by the complement coweights, as lattice data.
 
-    defining_rows: IntMatrix
-    quotient: LatticeQuotient
+    Kernels compare by identity.  The dimension and the component group pi0
+    are given, shared by every support in one G-orbit; the lattice quotient is
+    built from ``defining_rows`` on first use unless it is passed in.
+    """
+
+    def __init__(self, defining_rows, dimension, pi0, quotient=None):
+        self.defining_rows = defining_rows
+        self.dimension = dimension
+        self.pi0 = pi0
+        self.is_trivial = dimension == 0 and pi0.is_trivial
+        self._quotient = quotient
 
     @property
-    def dimension(self):
-        return self.quotient.group.free_rank
-
-    @property
-    def pi0(self):
-        return FinAbGroup(self.quotient.group.invariant_factors, 0)
-
-    @property
-    def is_trivial(self):
-        return self.dimension == 0 and self.pi0.is_trivial
+    def quotient(self):
+        if self._quotient is None:
+            self._quotient = LatticeQuotient(self.defining_rows.cols, self.defining_rows)
+        return self._quotient
 
 
 class TorusAnalysis:
@@ -212,6 +238,9 @@ class TorusAnalysis:
         self.spec = spec
         self.coweights = coweights
         self._diag_cache = {}
+        self._generator_perms = tuple(dict.fromkeys(
+            coweights.action[spec.element_index(g)] for g in spec.generators))
+        self._A = None
         self._lambda = None
         self._sigma = None
 
@@ -242,15 +271,34 @@ class TorusAnalysis:
 
     # -- kernels ---------------------------------------------------------------
 
+    def _rows(self, support):
+        return IntMatrix.from_rows(
+            [self.coweights.distinct[i] for i in support], cols=self.spec.n)
+
     def diag_for_support(self, support):
+        """The kernel cut out by the coweights in ``support``, cached per support.
+
+        A miss builds one lattice quotient, then walks the support's G-orbit
+        through the generators' coweight permutations and gives each unseen
+        member a kernel with the same dimension and pi0, whose own quotient is
+        built only if asked for (see the module docstring).
+        """
         support = tuple(sorted(support))
         cached = self._diag_cache.get(support)
         if cached is None:
-            rows = IntMatrix.from_rows(
-                [self.coweights.distinct[i] for i in support], cols=self.spec.n
-            )
-            cached = DiagGroup(rows, LatticeQuotient(self.spec.n, rows))
-            self._diag_cache[support] = cached
+            rows = self._rows(support)
+            quotient = LatticeQuotient(self.spec.n, rows)
+            dimension = quotient.group.free_rank
+            pi0 = FinAbGroup(quotient.group.invariant_factors, 0)
+            cached = self._diag_cache[support] = DiagGroup(rows, dimension, pi0, quotient)
+            frontier = [support]
+            while frontier:
+                member = frontier.pop()
+                for perm in self._generator_perms:
+                    image = tuple(sorted(perm[i] for i in member))
+                    if image not in self._diag_cache:
+                        self._diag_cache[image] = DiagGroup(self._rows(image), dimension, pi0)
+                        frontier.append(image)
         return cached
 
     def diag_group(self, s):
@@ -268,17 +316,19 @@ class TorusAnalysis:
     def invariant_A(self):
         """The conductor exponent with its lex-first maximizing sub-multiset as witness."""
         self._require_faithful()
-        best = None
-        witness = None
-        for s in self.all_or_nothing():
-            diag = self.diag_group(s)
-            if diag.is_trivial:
-                continue
-            ratio = Fraction(diag.dimension + 1, s.size)
-            if best is None or ratio > best:
-                best = ratio
-                witness = s
-        return best, witness
+        if self._A is None:
+            best = None
+            witness = None
+            for s in self.all_or_nothing():
+                diag = self.diag_group(s)
+                if diag.is_trivial:
+                    continue
+                ratio = Fraction(diag.dimension + 1, s.size)
+                if best is None or ratio > best:
+                    best = ratio
+                    witness = s
+            self._A = (best, witness)
+        return self._A
 
     def sigma_set(self):
         """All nonempty sub-multisets attaining the exponent, trivial kernels included."""

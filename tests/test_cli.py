@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -334,3 +335,38 @@ def test_sigma_cap_is_checked_before_the_count_vector_pass(monkeypatch):
     at_cap = load_spec({"dim": 1, "coweights": [{"vector": [1], "multiplicity": 2**20 - 1}]})
     assert at_cap.sigma_set() == ()
     assert passes == [at_cap]
+
+
+def test_build_report_runs_the_A_loop_once(monkeypatch):
+    callers = []
+    all_or_nothing = TorusAnalysis.all_or_nothing
+
+    def counted(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return all_or_nothing(self)
+
+    monkeypatch.setattr(TorusAnalysis, "all_or_nothing", counted)
+    for _, doc, _ in gallery.GALLERY:
+        callers.clear()
+        build_report(load_spec(doc), doc)
+        assert callers.count("invariant_A") == 1, callers
+
+
+def test_local_refuses_an_unprintable_coefficient_before_output(tmp_path, capsys):
+    # at q = 5 coefficient e >= 2 is 16 * 5^(e-2); e = 6153 is the first with over 4300 digits
+    path = write_json(tmp_path, "spec.json", gallery.GL1_STANDARD)
+    message = ("validation error: coefficient too large: e=6153 has more than 4300 "
+               "digits, Python's int-to-str limit; lower --cap (got 6300)\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(capsys, "local", "--input", path, "--q", "5",
+                                     "--cap", "6300", "--format", fmt)
+            assert (code, out, err) == (2, "", message)
+        code, out, err = run_cli(capsys, "local", "--input", path, "--q", "5",
+                                 "--cap", "6000", "--format", "json")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["coefficients"]) == 6001
