@@ -10,7 +10,7 @@ from .intlinalg import (
     smith_normal_form,
     torsion_elements,
 )
-from .torus import CoweightSystem, DiagGroup, SubMultiset, TorusAnalysis, TorusSpec, load_spec
+from .torus import CoweightSystem, DiagGroup, TorusAnalysis, TorusSpec, load_spec
 
 __all__ = [
     "CoweightSystem",
@@ -19,7 +19,6 @@ __all__ = [
     "IntMatrix",
     "LatticeQuotient",
     "SNFDecomposition",
-    "SubMultiset",
     "TorusAnalysis",
     "TorusSpec",
     "finite_cokernel_order",

@@ -109,7 +109,7 @@ def build_report(analysis, document=None):
         {
             "a": a,
             "b": b,
-            "subsets": [list(s.counts) for s in strata[(a, b)]],
+            "subsets": [list(s) for s in strata[(a, b)]],
             "orbits": per_stratum.get((a, b), 0),
         }
         for (a, b) in sorted(strata)
@@ -166,17 +166,17 @@ def cmd_analyze(args, out):
     return 0
 
 
-def _check_printable(table):
+def _check_printable(coefficients, cap):
     """Refuse a coefficient beyond Python's int-to-str digit limit before any output."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         return
     bound = 10**limit
-    for e, c in enumerate(table.coefficients):
+    for e, c in enumerate(coefficients):
         if abs(c) >= bound:
             raise EnumerationCapError(
                 f"coefficient too large: e={e} has more than {limit} digits, Python's "
-                f"int-to-str limit; lower --cap (got {table.cap})")
+                f"int-to-str limit; lower --cap (got {cap})")
 
 
 def cmd_local(args, out):
@@ -193,18 +193,18 @@ def cmd_local(args, out):
     calc = LocalCalculator(analysis)
     frobenius = _word_index(analysis, word, "--frobenius")
     local = make_local_data(analysis, args.q, frobenius)
-    table = calc.local_factor(local, cap=args.cap)
-    _check_printable(table)
+    coefficients = calc.local_factor(local, cap=args.cap)
+    _check_printable(coefficients, args.cap)
     diagnostics = []
     mults = analysis.coweights.multiplicity
     for s in analysis.sigma_set():
-        if not calc.frobenius_fixes(local, s.counts):
+        if not calc.frobenius_fixes(local, s):
             continue
-        entry = {"subset": list(s.counts), "a_count": calc.a_count(s, local)}
+        entry = {"subset": list(s), "a_count": calc.a_count(s, local)}
         # the exact-conductor count applies to all-or-nothing sub-multisets,
         # where the count vector is a 0/1 conductor profile
-        if all(c in (0, m) for c, m in zip(s.counts, mults)):
-            indicator = tuple(int(c > 0) for c in s.counts)
+        if all(c in (0, m) for c, m in zip(s, mults)):
+            indicator = tuple(int(c > 0) for c in s)
             entry["pi_eq"] = calc.pi_eq(indicator, local)
         diagnostics.append(entry)
     payload = {
@@ -213,10 +213,8 @@ def cmd_local(args, out):
         "f": local.f,
         "frobenius": frobenius,
         "lambda": calc.lambda_,
-        "cap": table.cap,
-        "coefficients": [
-            {"e": e, "coefficient": table.coefficient(e)} for e in range(table.cap + 1)
-        ],
+        "cap": args.cap,
+        "coefficients": [{"e": e, "coefficient": c} for e, c in enumerate(coefficients)],
         "attaining_subsets": diagnostics,
     }
     if args.format == "json":

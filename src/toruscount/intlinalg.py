@@ -141,14 +141,6 @@ class SNFDecomposition:
     def diagonal(self):
         return tuple(self.D.entries[i][i] for i in range(min(self.D.rows, self.D.cols)))
 
-    @property
-    def invariant_factors(self):
-        return tuple(d for d in self.diagonal if d != 0)
-
-    @property
-    def rank(self):
-        return len(self.invariant_factors)
-
 
 def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
     """Smith normal form by elementary row/column operations.
@@ -287,10 +279,6 @@ class FinAbGroup:
     def is_trivial(self):
         return self.free_rank == 0 and not self.invariant_factors
 
-    @property
-    def identity(self):
-        return tuple(0 for _ in self.invariant_factors)
-
 
 def torsion_elements(g: FinAbGroup, cap: int = DEFAULT_ENUMERATION_CAP):
     """All torsion elements of ``g`` as residue tuples, each yielded once."""
@@ -332,10 +320,6 @@ class LatticeQuotient:
         tors = tuple(w[i] % self._diag[i] for i in self.torsion_positions)
         free = tuple(w[i] for i in self.free_positions)
         return tors, free
-
-    def to_coords(self, vec):
-        """Torsion coordinates of the class of vec (free part discarded)."""
-        return self.to_full_coords(vec)[0]
 
     def from_coords(self, coords):
         """A representative in Z^n of the torsion element with the given coordinates."""

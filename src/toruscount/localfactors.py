@@ -35,7 +35,7 @@ from .intlinalg import (
 )
 from .orbits import FiberTransport
 
-DEFAULT_VECTOR_CAP = 10**6
+VECTOR_CAP = 10**6
 
 
 def _prime_power_split(q):
@@ -67,17 +67,6 @@ def make_local_data(analysis, q, frobenius_index=0):
         raise SpecValidationError(f"frobenius: element index {frobenius_index} out of range")
     return LocalData(q=q, p=p, frobenius=frobenius_index,
                      f=analysis.spec.element_order(frobenius_index))
-
-
-@dataclass(frozen=True)
-class EulerFactorTruncation:
-    """Coefficient of q^{-s e} for every exponent e up to the cap."""
-
-    coefficients: tuple  # coefficients[e] for e = 0..cap
-    cap: int
-
-    def coefficient(self, e):
-        return self.coefficients[e]
 
 
 class LocalCalculator:
@@ -186,7 +175,7 @@ class LocalCalculator:
         reps = [quot.from_coords(tuple(int(k == j) for k in range(len(factors))))
                 for j in range(len(factors))]
         ainv = self.analysis.spec.inverse(local.frobenius)
-        moved = [quot.to_coords(ainv.apply(rep)) for rep in reps]
+        moved = [quot.to_full_coords(ainv.apply(rep))[0] for rep in reps]
 
         def value(point, coords):
             return sum(Fraction(a * b, d) for a, b, d in zip(point, coords, factors))
@@ -206,7 +195,7 @@ class LocalCalculator:
 
     def a_count(self, s, local):
         """Fixed points of y -> Fr(y^q) on the component group of the kernel of S."""
-        if not self.frobenius_fixes(local, s.counts):
+        if not self.frobenius_fixes(local, s):
             raise SpecValidationError("frobenius does not fix the sub-multiset")
         diag = self.analysis.diag_group(s)
         transport = FiberTransport(self.analysis, local.frobenius, s)
@@ -220,7 +209,7 @@ class LocalCalculator:
 
     def a_count_via_cokernel(self, s, local):
         """Torsion-part cokernel order of the dual map; the classical route."""
-        if not self.frobenius_fixes(local, s.counts):
+        if not self.frobenius_fixes(local, s):
             raise SpecValidationError("frobenius does not fix the sub-multiset")
         torsion, _ = self.hom_count_parts(self.analysis.diag_group(s), local)
         return torsion
@@ -282,7 +271,7 @@ class LocalCalculator:
             total += -term if sum(pattern) % 2 else term
         return total
 
-    def local_factor(self, local, cap, vector_cap=DEFAULT_VECTOR_CAP):
+    def local_factor(self, local, cap):
         """Truncated coefficient table: entry e sums pi_eq over fixed c with |c| = e.
 
         A fixed c is a grid point a, one entry per Frobenius cycle, with
@@ -299,10 +288,10 @@ class LocalCalculator:
         mults = self.analysis.coweights.multiplicity
         weights = tuple(sum(mults[i] for i in cycle) for cycle in cycles)
         box = prod(cap // w + 1 for w in weights)
-        if box > vector_cap:
+        if box > VECTOR_CAP:
             raise EnumerationCapError(
                 f"enumeration too large: {box} conductor vectors up to --cap {cap} "
-                f"exceed the cap of {vector_cap}")
+                f"exceed the cap of {VECTOR_CAP}")
         coefficients = [0] * (cap + 1)
         entries = [0] * len(mults)
         for a in _grid(weights, cap):
@@ -314,7 +303,7 @@ class LocalCalculator:
         for w in weights:
             for e in range(cap, w - 1, -1):
                 coefficients[e] -= coefficients[e - w]
-        return EulerFactorTruncation(coefficients=tuple(coefficients), cap=cap)
+        return tuple(coefficients)
 
 
 def _cycles(perm):

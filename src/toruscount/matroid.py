@@ -141,10 +141,6 @@ class BiasCertificate:
     alpha: int
     beta: int
 
-    @property
-    def ratio(self):
-        return Fraction(self.beta, self.alpha)
-
 
 def _require_full_rank(matroid):
     if isinstance(matroid, LinearMatroid) and not matroid.full_rank():

@@ -20,9 +20,8 @@ from math import gcd, lcm
 
 from .errors import SpecValidationError
 from .intlinalg import torsion_elements
-from .torus import SubMultiset
 
-DEFAULT_GTILDE_CAP = 10**5
+GTILDE_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -48,25 +47,23 @@ def _generating_pairs(pairs, identity):
     return tuple(pair for pair in dict.fromkeys(pairs) if pair != identity)
 
 
-def build_gtilde(analysis, lam=None, override=None, cap=DEFAULT_GTILDE_CAP):
+def build_gtilde(analysis, override=None):
     """Default: the full product of the lattice group with the units mod lambda.
 
     With ``override`` (a list of (element index, unit) pairs) the generated
     subgroup is returned instead; its projection to the lattice group must be
     surjective.
     """
-    if lam is None:
-        lam = analysis.lambda_invariant()
+    lam = analysis.lambda_invariant()
     spec = analysis.spec
     group_size = spec.order
     identity = (spec.identity_index, 1 % lam)
     if override is None:
-        elements = tuple(
-            (g, u) for g in range(group_size) for u in units_mod(lam)
-        )
+        units = units_mod(lam)
+        elements = tuple((g, u) for g in range(group_size) for u in units)
         generators = _generating_pairs(
             [(spec.element_index(m), 1 % lam) for m in spec.generators]
-            + [(spec.identity_index, u) for u in units_mod(lam)], identity)
+            + [(spec.identity_index, u) for u in units], identity)
         return EnlargedGroup(lambda_=lam, elements=elements, mode="full",
                              generators=generators)
 
@@ -88,7 +85,7 @@ def build_gtilde(analysis, lam=None, override=None, cap=DEFAULT_GTILDE_CAP):
                 if prod not in closure:
                     closure.add(prod)
                     nxt.append(prod)
-                    if len(closure) > cap:
+                    if len(closure) > GTILDE_CAP:
                         raise SpecValidationError("gtilde: closure cap exceeded")
         frontier = nxt
     if {g for g, _ in closure} != set(range(group_size)):
@@ -148,7 +145,7 @@ class FiberedAttainingSet:
         analysis._require_faithful()
         self.analysis = analysis
         self.lambda_ = analysis.lambda_invariant()
-        self.gtilde = gtilde if gtilde is not None else build_gtilde(analysis, self.lambda_)
+        self.gtilde = gtilde if gtilde is not None else build_gtilde(analysis)
         if self.gtilde.lambda_ != self.lambda_:
             raise SpecValidationError("gtilde was built for a different lambda")
         self._transports = {}
@@ -162,26 +159,26 @@ class FiberedAttainingSet:
             for fiber in torsion_elements(diag.pi0):
                 if diag.dimension == 0 and not any(fiber):
                     continue
-                out.append(FiberedSubset(s.counts, tuple(fiber)))
-        out.sort(key=lambda e: (e.counts, e.fiber))
+                out.append(FiberedSubset(s, tuple(fiber)))
+        # already in (counts, fiber) order: sigma and each torsion_elements are lex
         return out
 
     def _transport(self, g_index, counts):
-        key = (g_index, self.analysis.complement_support(SubMultiset(counts)))
+        key = (g_index, self.analysis.complement_support(counts))
         cached = self._transports.get(key)
         if cached is None:
-            cached = FiberTransport(self.analysis, g_index, SubMultiset(counts))
+            cached = FiberTransport(self.analysis, g_index, counts)
             self._transports[key] = cached
         return cached
 
     def act(self, gelem, element):
         """Action of one pair (g, u): move the sub-multiset by g, the fiber by g then u."""
         g_index, unit = gelem
-        s2 = self.analysis.act_on_subset(g_index, SubMultiset(element.counts))
+        s2 = self.analysis.act_on_subset(g_index, element.counts)
         moved = self._transport(g_index, element.counts).apply(element.fiber)
         factors = self.analysis.diag_group(s2).pi0.invariant_factors
         fiber2 = tuple((c * unit) % d for c, d in zip(moved, factors))
-        return FiberedSubset(s2.counts, fiber2)
+        return FiberedSubset(s2, fiber2)
 
     def orbits(self):
         """Deterministic orbit partition under the enlarged group, from its generators.
@@ -216,9 +213,8 @@ class FiberedAttainingSet:
         """Orbit count minus one, with per-stratum orbit counts."""
         per_stratum = {}
         for orbit in self.orbits():
-            s = SubMultiset(orbit[0].counts)
-            diag = self.analysis.diag_group(s)
-            key = (diag.dimension, s.size)
+            s = orbit[0].counts
+            key = (self.analysis.diag_group(s).dimension, sum(s))
             per_stratum[key] = per_stratum.get(key, 0) + 1
         total = sum(per_stratum.values())
         return total - 1, per_stratum

@@ -4,16 +4,18 @@ and the exact counting invariants derived from them.
 
 Conventions: a group element is an n x n unimodular integer matrix acting on
 column vectors of the rank-n lattice; coweights live in the same lattice and
-transform by the same matrices.  A sub-multiset assigns to every distinct
-coweight a count between 0 and its multiplicity; the kernel attached to it
-depends only on which coweights remain in the complement.
+transform by the same matrices.  A sub-multiset is a tuple of counts, one per
+distinct coweight, each between 0 and its multiplicity; its size |S| is the
+sum of the counts.  The kernel attached to it depends only on which coweights
+remain in the complement.
 
 A, the abscissa and lambda need only the 2^k all-or-nothing sub-multisets
 (each count 0 or full), one per complement support T: among the sub-multisets
 sharing T it is the smallest and componentwise, hence lexicographically, first,
 so it maximizes (dim + 1)/|S| and dim/|S| and is the lex-first maximizer that
-the A witness tie-break asks for.  The attaining set sigma lists every count
-vector that attains A, so it still filters all of them, once per analysis.
+the A witness tie-break asks for.  One pass over them, in lex order, gives all
+three.  The attaining set sigma lists every count vector that attains A, so it
+still filters all of them, once per analysis.
 
 G permutes the coweights, and g carries the rows of a support T onto those of
 gT, so D(gT) is isomorphic to D(T).  The invariants read the kernels only
@@ -26,14 +28,13 @@ from its parent in the closure's Schreier tree, one generator step away.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
 from .errors import EnumerationCapError, NotFaithfulError, SchemaError, SpecValidationError
 from .intlinalg import FinAbGroup, IntMatrix, LatticeQuotient, unimodular_inverse
 
-DEFAULT_GROUP_CAP = 10**4
+GROUP_CAP = 10**4
 DEFAULT_DISTINCT_CAP = 20
 # count vectors the sigma filter may visit: 20 distinct coweights of multiplicity 1
 SUBSET_CAP = 2**DEFAULT_DISTINCT_CAP
@@ -42,7 +43,7 @@ SUBSET_CAP = 2**DEFAULT_DISTINCT_CAP
 class TorusSpec:
     """Rank-n lattice with a finite group of unimodular automorphisms."""
 
-    def __init__(self, n, generators, group_cap=DEFAULT_GROUP_CAP):
+    def __init__(self, n, generators):
         if n < 1:
             raise SpecValidationError("dim: n = 0 rejected")
         self.n = n
@@ -55,10 +56,10 @@ class TorusSpec:
                 raise SpecValidationError(f"generators[{idx}]: generator not unimodular")
             if _matrix_power(g, exponent) != IntMatrix.identity(n):
                 raise SpecValidationError(f"generators[{idx}]: generator has infinite order")
-        self.group_elements, self._index, self.schreier_tree = self._closure(group_cap)
+        self.group_elements, self._index, self.schreier_tree = self._closure()
         self._inverses = {}
 
-    def _closure(self, cap):
+    def _closure(self):
         """Breadth-first closure under right multiplication by the generators.
 
         Returns the elements, their index by entries, and the Schreier tree:
@@ -80,9 +81,9 @@ class TorusSpec:
                         nxt.append(len(elements))
                         elements.append(prod)
                         tree.append((parent, k))
-                        if len(elements) > cap:
+                        if len(elements) > GROUP_CAP:
                             raise SpecValidationError(
-                                f"generators: group closure cap exceeded ({cap})")
+                                f"generators: group closure cap exceeded ({GROUP_CAP})")
             frontier = nxt
         return tuple(elements), index, tuple(tree)
 
@@ -198,17 +199,6 @@ class CoweightSystem:
         return len(self.distinct)
 
 
-@dataclass(frozen=True)
-class SubMultiset:
-    """Counts per distinct coweight; the multiplicity-weighted size is |S|."""
-
-    counts: tuple
-
-    @property
-    def size(self):
-        return sum(self.counts)
-
-
 class DiagGroup:
     """Kernel subgroup cut out by the complement coweights, as lattice data.
 
@@ -240,34 +230,29 @@ class TorusAnalysis:
         self._diag_cache = {}
         self._generator_perms = tuple(dict.fromkeys(
             coweights.action[spec.element_index(g)] for g in spec.generators))
-        self._A = None
-        self._lambda = None
+        self._supports = None
         self._sigma = None
 
     # -- sub-multiset plumbing -------------------------------------------------
 
     def subsets(self):
         """Every sub-multiset, in lexicographic count-vector order."""
-        ranges = [range(m + 1) for m in self.coweights.multiplicity]
-        for counts in itertools.product(*ranges):
-            yield SubMultiset(counts)
+        return itertools.product(*(range(m + 1) for m in self.coweights.multiplicity))
 
     def all_or_nothing(self):
         """The 2^k sub-multisets with every count 0 or full, in lexicographic order."""
-        for counts in itertools.product(*((0, m) for m in self.coweights.multiplicity)):
-            yield SubMultiset(counts)
+        return itertools.product(*((0, m) for m in self.coweights.multiplicity))
 
     def complement_support(self, s):
         return tuple(
-            i for i, c in enumerate(s.counts) if c < self.coweights.multiplicity[i]
-        )
+            i for i, (c, m) in enumerate(zip(s, self.coweights.multiplicity)) if c < m)
 
     def act_on_subset(self, g_index, s):
         perm = self.coweights.action[g_index]
-        counts = [0] * len(s.counts)
-        for i, c in enumerate(s.counts):
+        counts = [0] * len(s)
+        for i, c in enumerate(s):
             counts[perm[i]] = c
-        return SubMultiset(tuple(counts))
+        return tuple(counts)
 
     # -- kernels ---------------------------------------------------------------
 
@@ -313,22 +298,36 @@ class TorusAnalysis:
         if not self.is_faithful():
             raise NotFaithfulError("not faithful")
 
+    def _support_invariants(self):
+        """(lambda, (A, witness), abscissa) from one pass over the all-or-nothing
+        sub-multisets in lex order, memoized.
+
+        The empty sub-multiset counts only towards lambda: its kernel is the
+        whole kernel, trivial exactly when the input is faithful, and A and the
+        abscissa are read only then.
+        """
+        if self._supports is None:
+            lam = 1
+            best = witness = None
+            abscissa = Fraction(0)
+            for s in self.all_or_nothing():
+                diag = self.diag_group(s)
+                lam = lcm(lam, diag.pi0.torsion_order)
+                size = sum(s)
+                if diag.is_trivial or not size:
+                    continue
+                ratio = Fraction(diag.dimension + 1, size)
+                if best is None or ratio > best:
+                    best, witness = ratio, s
+                if diag.dimension:
+                    abscissa = max(abscissa, Fraction(diag.dimension, size))
+            self._supports = (lam, (best, witness), abscissa)
+        return self._supports
+
     def invariant_A(self):
         """The conductor exponent with its lex-first maximizing sub-multiset as witness."""
         self._require_faithful()
-        if self._A is None:
-            best = None
-            witness = None
-            for s in self.all_or_nothing():
-                diag = self.diag_group(s)
-                if diag.is_trivial:
-                    continue
-                ratio = Fraction(diag.dimension + 1, s.size)
-                if best is None or ratio > best:
-                    best = ratio
-                    witness = s
-            self._A = (best, witness)
-        return self._A
+        return self._support_invariants()[1]
 
     def sigma_set(self):
         """All nonempty sub-multisets attaining the exponent, trivial kernels included."""
@@ -341,14 +340,11 @@ class TorusAnalysis:
             value, _ = self.invariant_A()
             self._sigma = tuple(
                 s for s in self.subsets()
-                if s.size and Fraction(self.diag_group(s).dimension + 1, s.size) == value)
+                if (size := sum(s)) and Fraction(self.diag_group(s).dimension + 1, size) == value)
         return self._sigma
 
     def lambda_invariant(self):
-        if self._lambda is None:
-            self._lambda = lcm(*(self.diag_group(s).pi0.torsion_order
-                                 for s in self.all_or_nothing()))
-        return self._lambda
+        return self._support_invariants()[0]
 
     def strata(self):
         """Partition of the attaining set by (kernel dimension, size)."""
@@ -356,7 +352,7 @@ class TorusAnalysis:
         out = {}
         for s in self.sigma_set():
             diag = self.diag_group(s)
-            key = (diag.dimension, s.size)
+            key = (diag.dimension, sum(s))
             assert Fraction(key[0] + 1, key[1]) == value
             out.setdefault(key, []).append(s)
         return out
@@ -368,12 +364,7 @@ class TorusAnalysis:
         zero-dimensional kernel adds a ratio of 0, and the maximum starts at 0.
         """
         self._require_faithful()
-        best = Fraction(0)
-        for s in self.all_or_nothing():
-            diag = self.diag_group(s)
-            if diag.dimension >= 1:
-                best = max(best, Fraction(diag.dimension, s.size))
-        return best
+        return self._support_invariants()[2]
 
 
 def _require(condition, message):
@@ -381,7 +372,7 @@ def _require(condition, message):
         raise SchemaError(message)
 
 
-def load_spec(document, group_cap=DEFAULT_GROUP_CAP, distinct_cap=DEFAULT_DISTINCT_CAP):
+def load_spec(document, distinct_cap=DEFAULT_DISTINCT_CAP):
     """Validate an input document and build the analysis object.
 
     Schema: {"dim": n, "generators": [n x n row-major int matrices],
@@ -439,6 +430,6 @@ def load_spec(document, group_cap=DEFAULT_GROUP_CAP, distinct_cap=DEFAULT_DISTIN
         raise SpecValidationError(
             f"coweights: {len(distinct)} distinct coweights exceed the cap {distinct_cap}")
 
-    spec = TorusSpec(n, generators, group_cap=group_cap)
+    spec = TorusSpec(n, generators)
     coweights = CoweightSystem(spec, distinct, multiplicity)
     return TorusAnalysis(spec, coweights)

@@ -15,7 +15,7 @@ from toruscount.errors import EnumerationCapError
 from toruscount.localfactors import LocalCalculator, make_local_data
 from toruscount.matroid import LinearMatroid, b_infinity, b_infinity_oracle
 from toruscount.orbits import FiberedAttainingSet
-from toruscount.torus import SubMultiset, load_spec
+from toruscount.torus import load_spec
 
 from randspecs import random_faithful_spec
 from test_archim import random_blocks
@@ -72,7 +72,7 @@ def test_criterion_3_polytope_oracle_equivalence_on_200_matrices():
             continue
         value, cert = b_infinity(matroid)
         assert value == b_infinity_oracle(matroid), matrix
-        assert cert.ratio == value
+        assert Fraction(cert.beta, cert.alpha) == value
         done += 1
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, elapsed
@@ -90,7 +90,7 @@ def _random_stable_counts(rng, analysis, fr):
             j = perm[j]
     for i in range(len(counts)):
         counts[perm[i]] = counts[i]
-    return SubMultiset(tuple(counts))
+    return tuple(counts)
 
 
 def test_criterion_4_local_oracle_equivalence():
@@ -153,9 +153,9 @@ def test_criterion_6_first_coefficient_spot_check():
         assert q % 6 == 1
         local = make_local_data(analysis, q)
         table = calc.local_factor(local, cap=1)
-        a_sq = calc.a_count(SubMultiset((1, 0)), local)
-        a_cu = calc.a_count(SubMultiset((0, 1)), local)
-        assert table.coefficient(1) == 3 == (a_sq - 1) + (a_cu - 1)
+        a_sq = calc.a_count((1, 0), local)
+        a_cu = calc.a_count((0, 1), local)
+        assert table[1] == 3 == (a_sq - 1) + (a_cu - 1)
         # independent brute force over characters of a cyclic group of order q-1
         brute = sum(
             1 for k in range(q - 1)

@@ -338,18 +338,21 @@ def test_sigma_cap_is_checked_before_the_count_vector_pass(monkeypatch):
 
 
 def test_build_report_runs_the_A_loop_once(monkeypatch):
-    callers = []
+    # lambda, A and the abscissa share one pass over the 2^k all-or-nothing supports
+    passes = []
     all_or_nothing = TorusAnalysis.all_or_nothing
 
     def counted(self):
-        callers.append(sys._getframe(1).f_code.co_name)
+        passes.append(self)
         return all_or_nothing(self)
 
     monkeypatch.setattr(TorusAnalysis, "all_or_nothing", counted)
-    for _, doc, _ in gallery.GALLERY:
-        callers.clear()
-        build_report(load_spec(doc), doc)
-        assert callers.count("invariant_A") == 1, callers
+    non_faithful = {"dim": 2, "coweights": [{"vector": [1, 0]}]}
+    for doc in [doc for _, doc, _ in gallery.GALLERY] + [non_faithful]:
+        passes.clear()
+        analysis = load_spec(doc)
+        build_report(analysis, doc)
+        assert passes == [analysis]
 
 
 def test_local_refuses_an_unprintable_coefficient_before_output(tmp_path, capsys):

@@ -36,6 +36,10 @@ def check_snf(m):
     return snf
 
 
+def invariant_factors(snf):
+    return tuple(d for d in snf.diagonal if d != 0)
+
+
 def test_from_rows_rejects_ragged_rows_and_column_mismatch():
     for rows, cols in (([[1, 2], [3]], None), ([[1], [2, 3]], None), ([[1, 2]], 3),
                        ([[1, 2], [3, 4]], 1)):
@@ -58,19 +62,19 @@ def test_snf_identity():
 def test_snf_column_matrix_gcd():
     m = IntMatrix.from_rows([[2], [3]])
     snf = check_snf(m)
-    assert snf.invariant_factors == (1,)
+    assert invariant_factors(snf) == (1,)
 
 
 def test_snf_diag_2_3():
     m = IntMatrix.from_rows([[2, 0], [0, 3]])
     snf = check_snf(m)
-    assert snf.invariant_factors == (1, 6)
+    assert invariant_factors(snf) == (1, 6)
 
 
 def test_snf_empty_matrices():
     for m in (IntMatrix.zeros(0, 3), IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 0)):
         snf = check_snf(m)
-        assert snf.invariant_factors == ()
+        assert invariant_factors(snf) == ()
 
 
 def test_snf_random_matrices_satisfy_invariants():
@@ -82,7 +86,7 @@ def test_snf_random_matrices_satisfy_invariants():
             [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)], cols=cols
         )
         snf = check_snf(m)
-        assert snf.rank == bareiss(m.entries, m.cols)[0]
+        assert len(invariant_factors(snf)) == bareiss(m.entries, m.cols)[0]
 
 
 def test_unimodular_inverse_roundtrip():
@@ -133,7 +137,7 @@ def test_lattice_quotient_roundtrip_and_kill_relations():
             assert not any(tors) and not any(free)
             assert q.contains(row)
         for y in torsion_elements(q.group):
-            assert q.to_coords(q.from_coords(y)) == tuple(y)
+            assert q.to_full_coords(q.from_coords(y))[0] == tuple(y)
 
 
 def test_lattice_quotient_full_rank_square_order_is_det():
